@@ -1,7 +1,5 @@
 #include "graph/compiler.hpp"
 
-#include "graph/graph.hpp"
-
 namespace graphene::graph {
 
 namespace {
@@ -16,12 +14,6 @@ void analyze(const ProgramPtr& p, ProgramStats& stats) {
       break;
     case Program::Kind::Execute:
       ++stats.executeSteps;
-      break;
-    case Program::Kind::ExecuteFused:
-      // Each member still runs as its own compute superstep; the fused node
-      // only removes host-side dispatch boundaries.
-      ++stats.fusedSteps;
-      stats.executeSteps += p->fusedSets.size();
       break;
     case Program::Kind::Copy:
       ++stats.copySteps;
@@ -106,38 +98,6 @@ ProgramPtr coalesceCopies(const ProgramPtr& program) {
       }
     }
     seq.children = std::move(merged);
-  });
-}
-
-ProgramPtr fuseSupersteps(const ProgramPtr& program, const Graph& graph) {
-  return rewrite(program, [&graph](Program& seq) {
-    std::vector<ProgramPtr> out;
-    std::vector<ProgramPtr> pending;  // current run of fusable Execute steps
-    auto flush = [&] {
-      if (pending.size() >= 2) {
-        std::vector<ComputeSetId> sets;
-        sets.reserve(pending.size());
-        for (const ProgramPtr& p : pending) sets.push_back(p->computeSet);
-        out.push_back(Program::executeFused(std::move(sets)));
-      } else {
-        out.insert(out.end(), pending.begin(), pending.end());
-      }
-      pending.clear();
-    };
-    for (const ProgramPtr& child : seq.children) {
-      // ABFT compute sets stay unfused: their defect-flag protocol is
-      // attached and polled dynamically by host guards, and keeping them as
-      // standalone supersteps keeps that machinery trivially auditable.
-      if (child != nullptr && child->kind == Program::Kind::Execute &&
-          graph.computeSet(child->computeSet).category != "abft") {
-        pending.push_back(child);
-      } else {
-        flush();
-        out.push_back(child);
-      }
-    }
-    flush();
-    seq.children = std::move(out);
   });
 }
 

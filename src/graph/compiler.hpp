@@ -3,16 +3,11 @@
 // dataflow graph and execution schedule. It then generates communication
 // schedules...").
 //
-// Two facilities:
+// Facilities:
 //  - coalesceCopies: merges runs of adjacent Copy steps inside a Sequence
 //    into one exchange superstep. Every merged pair saves one BSP sync and
 //    lets independent transfers overlap in the fabric — this is why the DSL
 //    keeping the number of program steps small (§III-C) pays off at run time.
-//  - fuseSupersteps: merges runs of adjacent Execute steps inside a Sequence
-//    into one ExecuteFused step. Legal because tiles only touch tile-local
-//    memory between exchanges, so a tile's work for consecutive compute
-//    supersteps can run back-to-back without observing another tile; each
-//    member still commits its own superstep, so profiles are unchanged.
 //  - flattenSequences: inlines nested bare Sequence nodes.
 //  - analyzeProgram: static schedule statistics (step counts by kind,
 //    transfer/byte totals), the numbers the paper's compile-time discussion
@@ -27,8 +22,6 @@
 
 namespace graphene::graph {
 
-class Graph;
-
 struct ProgramStats {
   std::size_t totalSteps = 0;
   std::size_t executeSteps = 0;
@@ -38,9 +31,6 @@ struct ProgramStats {
   std::size_t ifSteps = 0;
   std::size_t hostCallSteps = 0;
   std::size_t sequenceSteps = 0;
-  /// ExecuteFused nodes (their member compute sets are counted into
-  /// executeSteps: each still runs as its own compute superstep).
-  std::size_t fusedSteps = 0;
   /// Static transfer segments and payload bytes across all Copy steps
   /// (communication-program size, §IV benefit #1). Bytes assume float32
   /// elements when tensor types are unknown to the analyzer caller.
@@ -55,15 +45,6 @@ ProgramStats analyzeProgram(const ProgramPtr& program);
 /// copies whose segments target disjoint destinations; segments are
 /// concatenated in order.
 ProgramPtr coalesceCopies(const ProgramPtr& program);
-
-/// Returns a new program tree where every run of >= 2 adjacent Execute steps
-/// within a Sequence is replaced by one ExecuteFused step. Only plain
-/// Execute steps fuse: any intervening Copy, HostCall or control-flow node
-/// ends the run, and ABFT compute sets (category "abft") never fuse. The
-/// engine runs each member as its own committed superstep, so Profile
-/// cycle/superstep totals are exactly those of the unfused program — fusion
-/// only removes host-side dispatch barriers between members.
-ProgramPtr fuseSupersteps(const ProgramPtr& program, const Graph& graph);
 
 /// Returns a new program tree with nested bare Sequences inlined into their
 /// parents (smaller schedule, same semantics).

@@ -6,7 +6,6 @@
 #include <map>
 #include <thread>
 
-#include "graph/compiler.hpp"
 #include "ipu/exchange.hpp"
 #include "ipu/health.hpp"
 #include "ipu/worker_pool.hpp"
@@ -118,9 +117,6 @@ class Engine::PlanVertexContext final : public VertexContext {
 
 Engine::Engine(Graph& graph, std::size_t numHostThreads)
     : graph_(graph), numHostThreads_(resolveHostThreads(numHostThreads)) {
-  if (const char* e = std::getenv("GRAPHENE_NO_FUSION")) {
-    if (e[0] != '\0' && e[0] != '0') fusionEnabled_ = false;
-  }
   if (numHostThreads_ > 1) {
     hostPool_ = std::make_unique<support::ThreadPool>(numHostThreads_);
   }
@@ -261,61 +257,35 @@ void Engine::storeElement(TensorId id, std::size_t flatIndex,
 
 void Engine::run(const ProgramPtr& program) {
   if (!program) return;
-  runNode(fusionEnabled_ ? fusedFor(program) : program);
-}
-
-const ProgramPtr& Engine::fusedFor(const ProgramPtr& program) {
-  // Keyed by the root node's address; the cached entry holds the source
-  // shared_ptr, so a hit can never be a recycled allocation. A step-count
-  // check catches the one mutation pattern contexts actually perform —
-  // tracing more steps into an already-run program.
-  const std::size_t steps = program->stepCount();
-  auto it = fusedPrograms_.find(program.get());
-  if (it == fusedPrograms_.end() || it->second.sourceSteps != steps) {
-    FusedProgram entry;
-    entry.source = program;
-    entry.fused = fuseSupersteps(program, graph_);
-    entry.sourceSteps = steps;
-    it = fusedPrograms_.insert_or_assign(program.get(), std::move(entry))
-             .first;
-  }
-  return it->second.fused;
-}
-
-void Engine::runNode(const ProgramPtr& program) {
-  if (!program) return;
   syncStorage();
   switch (program->kind) {
     case Program::Kind::Sequence:
-      for (const auto& child : program->children) runNode(child);
+      for (const auto& child : program->children) run(child);
       break;
     case Program::Kind::Execute:
       runExecute(program->computeSet);
-      break;
-    case Program::Kind::ExecuteFused:
-      runExecuteFused(program);
       break;
     case Program::Kind::Copy:
       runCopy(program);
       break;
     case Program::Kind::Repeat:
       for (std::size_t i = 0; i < program->repeatCount; ++i) {
-        runNode(program->body);
+        run(program->body);
       }
       break;
     case Program::Kind::RepeatWhile:
       while (true) {
-        runNode(program->condProgram);
+        run(program->condProgram);
         if (!readScalar(program->condTensor).truthy()) break;
-        runNode(program->body);
+        run(program->body);
       }
       break;
     case Program::Kind::If:
-      runNode(program->condProgram);
+      run(program->condProgram);
       if (readScalar(program->condTensor).truthy()) {
-        runNode(program->thenBody);
+        run(program->thenBody);
       } else {
-        runNode(program->elseBody);
+        run(program->elseBody);
       }
       break;
     case Program::Kind::HostCall:
@@ -573,118 +543,6 @@ void Engine::runExecute(ComputeSetId csId) {
                               health_->deadIpus());
   }
   checkCancelled();
-}
-
-void Engine::runExecuteFused(const ProgramPtr& program) {
-  const std::vector<ComputeSetId>& sets = program->fusedSets;
-  // The fused fast path reorders tile work relative to the per-superstep
-  // hooks (fault injection, watchdog observation, trace emission, tile
-  // attribution, cancellation polling, exclusion), all of which must fire
-  // between supersteps with storage in exactly the unfused state. Any of
-  // them attached → run the members as plain supersteps; the fused node is
-  // then semantically just a Sequence of Executes.
-  const bool fastPath = faultPlan_ == nullptr && health_ == nullptr &&
-                        trace_ == nullptr && tileProfile_ == nullptr &&
-                        !cancel_ && tileExcluded_.empty();
-  if (!fastPath) {
-    for (ComputeSetId cs : sets) runExecute(cs);
-    return;
-  }
-
-  syncStorage();
-  const std::size_t nMembers = sets.size();
-  // Build all member plans first (planFor may grow plans_), then take
-  // stable pointers for the worklist run.
-  for (ComputeSetId cs : sets) planFor(cs);
-  std::vector<const ComputeSet*> css(nMembers);
-  std::vector<const ExecPlan*> memberPlans(nMembers);
-  for (std::size_t m = 0; m < nMembers; ++m) {
-    css[m] = &graph_.computeSet(sets[m]);
-    memberPlans[m] = &plans_[sets[m]];
-  }
-
-  FusedPlan& fp = fusedPlans_[program.get()];
-  bool stale = fp.node == nullptr;
-  for (std::size_t m = 0; !stale && m < nMembers; ++m) {
-    stale = fp.builtVertices[m] != memberPlans[m]->builtVertices;
-  }
-  if (stale) {
-    fp.node = program;
-    fp.tiles.clear();
-    fp.builtVertices.assign(nMembers, 0);
-    std::map<std::size_t, FusedPlan::TileWork> byTile;
-    for (std::size_t m = 0; m < nMembers; ++m) {
-      const ExecPlan& plan = *memberPlans[m];
-      for (std::size_t ti = 0; ti < plan.tasks.size(); ++ti) {
-        byTile[plan.tasks[ti].tile].parts.push_back(
-            FusedPlan::Part{static_cast<std::uint32_t>(m),
-                            static_cast<std::uint32_t>(ti)});
-      }
-      fp.builtVertices[m] = plan.builtVertices;
-    }
-    fp.tiles.reserve(byTile.size());
-    for (auto& [tile, work] : byTile) fp.tiles.push_back(std::move(work));
-  }
-
-  // Run every tile's whole worklist — all members, in program order — as one
-  // host task. Legality is the BSP tile-locality invariant: member k+1's
-  // work on tile t reads only tile-t slices, which only member k's work on
-  // the same tile (already run, in order) may have written. So results are
-  // bit-identical to per-superstep dispatch; only the host-side barriers
-  // between members disappear.
-  TensorStorage* storage = storage_.data();
-  if (fusedCycles_.size() < nMembers) fusedCycles_.resize(nMembers);
-  for (std::size_t m = 0; m < nMembers; ++m) {
-    fusedCycles_[m].assign(memberPlans[m]->tasks.size(), 0.0);
-  }
-  auto runTile = [&](std::size_t i) {
-    for (const FusedPlan::Part& part : fp.tiles[i].parts) {
-      fusedCycles_[part.member][part.task] = runTileTask(
-          *css[part.member], *memberPlans[part.member], storage, part.task);
-    }
-  };
-  if (hostPool_ != nullptr && fp.tiles.size() > 1) {
-    hostPool_->parallelFor(fp.tiles.size(), runTile);
-  } else {
-    for (std::size_t i = 0; i < fp.tiles.size(); ++i) runTile(i);
-  }
-
-  // Commit each member as its own superstep, in program order — the same
-  // serial reduction and profile updates as runExecute's no-attachment path,
-  // so every Profile total and superstep stat is exactly unchanged.
-  const ipu::IpuTarget& target = graph_.target();
-  for (std::size_t m = 0; m < nMembers; ++m) {
-    const std::vector<double>& cycles = fusedCycles_[m];
-    const std::size_t nTasks = cycles.size();
-    double maxTileCycles = 0;
-    double minTileCycles = 0;
-    double sumTileCycles = 0;
-    std::size_t stragglerTask = 0;
-    for (std::size_t ti = 0; ti < nTasks; ++ti) {
-      const double c = cycles[ti];
-      sumTileCycles += c;
-      if (ti == 0 || c < minTileCycles) minTileCycles = c;
-      if (c > maxTileCycles) {
-        maxTileCycles = c;
-        stragglerTask = ti;
-      }
-    }
-    const double meanTileCycles =
-        nTasks > 0 ? sumTileCycles / static_cast<double>(nTasks) : 0.0;
-    const std::size_t stragglerTile =
-        nTasks > 0 ? memberPlans[m]->tasks[stragglerTask].tile : SIZE_MAX;
-    profile_.verticesExecuted += css[m]->vertices.size();
-    profile_.computeCycles[css[m]->category] += maxTileCycles;
-    profile_.superstepStats[css[m]->category].record(
-        profile_.computeSupersteps, minTileCycles, meanTileCycles,
-        maxTileCycles, stragglerTile);
-    profile_.syncCycles += target.syncCyclesOnChip;
-    profile_.computeSupersteps += 1;
-    for (const auto& [name, value] : css[m]->perExecMetrics) {
-      profile_.metrics.addCounter(name, value);
-    }
-    simClock_ += maxTileCycles + target.syncCyclesOnChip;
-  }
 }
 
 void Engine::checkCancelled() {

@@ -49,18 +49,11 @@ class Engine {
   /// Host threads used for tile-parallel compute supersteps (>= 1).
   std::size_t numHostThreads() const { return numHostThreads_; }
 
-  /// Executes a program tree to completion. Unless disabled via
-  /// setSuperstepFusion, the tree is first run through the superstep-fusion
-  /// pass (cached per root, revalidated when the tree grows); semantics and
-  /// profiles are identical either way.
+  /// Executes a program tree to completion: every Execute step is one
+  /// compute superstep, every Copy step one exchange superstep, each
+  /// committed to the profile (and any attached observer) before the next
+  /// step starts.
   void run(const ProgramPtr& program);
-
-  /// Enables/disables the superstep-fusion pass applied by run() (default
-  /// on; GRAPHENE_NO_FUSION=1 disables it at construction). Results,
-  /// profiles, traces and fault logs are bit-identical either way — the
-  /// switch exists so tests can assert exactly that.
-  void setSuperstepFusion(bool enabled) { fusionEnabled_ = enabled; }
-  bool superstepFusion() const { return fusionEnabled_; }
 
   /// Host→device write of a whole tensor, in flat element order (the
   /// concatenation of per-tile regions).
@@ -204,21 +197,7 @@ class Engine {
     std::size_t builtVertices = 0;
   };
 
-  /// Recursive program-tree walk (run() minus the fusion-pass front door).
-  void runNode(const ProgramPtr& program);
-  /// Returns the cached fused form of `program`, rebuilding when the source
-  /// tree grew (step-count check). Holds a reference to the source root, so
-  /// cache keys can never be reused by a recycled allocation.
-  const ProgramPtr& fusedFor(const ProgramPtr& program);
   void runExecute(ComputeSetId cs);
-  /// Runs an ExecuteFused step. With no dynamic attachments (fault plan,
-  /// health monitor, trace sink, tile profile, cancel check, excluded
-  /// tiles), each tile's work for all member compute sets runs back-to-back
-  /// — one host dispatch for the whole run — and the members are then
-  /// committed serially in program order, reproducing runExecute's profile
-  /// updates exactly. Any attachment falls back to per-member runExecute, so
-  /// hooks fire in exactly the unfused order.
-  void runExecuteFused(const ProgramPtr& program);
   /// Throws CancelledError when the attached cancel check requests a stop.
   /// Called after a superstep is fully committed.
   void checkCancelled();
@@ -256,23 +235,6 @@ class Engine {
   std::vector<double> tileBusy_;     // per-task worker-busy scratch (profiling)
   std::vector<char> tileExcluded_;                 // empty = none excluded
 
-  /// Per-tile worklist for one ExecuteFused step: for every tile with work,
-  /// the (member, task) pairs to run back-to-back, in member order. Built
-  /// from the members' ExecPlans; `builtVertices` mirrors each member plan's
-  /// staleness stamp so the worklist rebuilds whenever a member plan does.
-  struct FusedPlan {
-    struct Part {
-      std::uint32_t member = 0;  // index into Program::fusedSets
-      std::uint32_t task = 0;    // index into that member's ExecPlan::tasks
-    };
-    struct TileWork {
-      std::vector<Part> parts;
-    };
-    ProgramPtr node;  // pins the fused node so the cache key stays unique
-    std::vector<TileWork> tiles;
-    std::vector<std::size_t> builtVertices;  // per member
-  };
-
   /// Resolved form of a Copy step: every delivered (src, dst) window plus
   /// the priced exchange stats. Both are static — segments are immutable and
   /// tile offsets are fixed at tensor creation — so with no fault plan or
@@ -298,17 +260,7 @@ class Engine {
     std::size_t interIpuMessages = 0;
   };
 
-  struct FusedProgram {
-    ProgramPtr source;  // pins the root so the cache key stays unique
-    ProgramPtr fused;
-    std::size_t sourceSteps = 0;  // stepCount at fusion time (staleness)
-  };
-
-  bool fusionEnabled_ = true;
-  std::unordered_map<const Program*, FusedProgram> fusedPrograms_;
-  std::unordered_map<const Program*, FusedPlan> fusedPlans_;
   std::unordered_map<const Program*, CopyPlan> copyPlans_;
-  std::vector<std::vector<double>> fusedCycles_;  // per-member task scratch
 };
 
 }  // namespace graphene::graph

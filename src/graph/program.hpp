@@ -38,13 +38,12 @@ struct CopySegment {
 struct Program {
   enum class Kind {
     Sequence,      // children in order
-    Execute,       // one compute set (a BSP compute superstep)
-    ExecuteFused,  // a run of compute supersteps with no exchange between
-    Copy,          // an exchange superstep made of blockwise segments
-    Repeat,        // fixed-count loop
-    RepeatWhile,   // run cond-program, test condTensor, run body, repeat
-    If,            // run cond-program once, branch on condTensor
-    HostCall,      // CPU callback (progress reporting, host IO)
+    Execute,      // one compute set (a BSP compute superstep)
+    Copy,         // an exchange superstep made of blockwise segments
+    Repeat,       // fixed-count loop
+    RepeatWhile,  // run cond-program, test condTensor, run body, repeat
+    If,           // run cond-program once, branch on condTensor
+    HostCall,     // CPU callback (progress reporting, host IO)
   };
 
   Kind kind = Kind::Sequence;
@@ -54,14 +53,6 @@ struct Program {
 
   // Execute
   ComputeSetId computeSet = 0;
-
-  // ExecuteFused: the member compute sets, in program order. Produced by
-  // graph::fuseSupersteps — semantically identical to running each member as
-  // its own Execute step (each still commits its own superstep to the
-  // profile); the engine may simulate a tile's work for all members
-  // back-to-back because tiles only touch tile-local memory between
-  // exchanges.
-  std::vector<ComputeSetId> fusedSets;
 
   // Copy
   std::vector<CopySegment> copies;
@@ -93,12 +84,6 @@ struct Program {
     auto p = std::make_shared<Program>();
     p->kind = Kind::Execute;
     p->computeSet = cs;
-    return p;
-  }
-  static ProgramPtr executeFused(std::vector<ComputeSetId> sets) {
-    auto p = std::make_shared<Program>();
-    p->kind = Kind::ExecuteFused;
-    p->fusedSets = std::move(sets);
     return p;
   }
   static ProgramPtr copy(std::vector<CopySegment> segments) {

@@ -2,7 +2,7 @@
 // how many tiles each, and how the chips are linked.
 //
 // `Topology` replaces ad-hoc poking of raw `IpuTarget` fields (and the old
-// `partitionAuto(m, tiles)` convention of "tiles" meaning "one big IPU").
+// convention of a bare tile count meaning "one big IPU").
 // It is a small value type with named builders:
 //
 //   auto solo = Topology::singleIpu(64);                 // one chip

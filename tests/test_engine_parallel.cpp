@@ -8,9 +8,12 @@
 // convergence callbacks, with and without an attached fault plan) and assert
 // exactly that. The compiled-codelet fast paths get the same treatment:
 // bulk span kernels vs the generic statement walk must agree bit-for-bit in
-// both results and charged cycles.
+// both results and charged cycles. On a small hand-checkable graph, attached
+// observers (trace sink, fault plan), cached execution and exchange plans,
+// and excluded tiles are held to the same standard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <stdexcept>
@@ -18,12 +21,14 @@
 
 #include "dsl/interpreter.hpp"
 #include "graph/engine.hpp"
+#include "graph/graph.hpp"
 #include "ipu/fault.hpp"
 #include "matrix/generators.hpp"
 #include "partition/partitioner.hpp"
 #include "solver/solvers.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 using namespace graphene;
 using namespace graphene::solver;
@@ -49,8 +54,7 @@ struct SolveObservables {
 /// per-solver state, so engines must not share a program).
 SolveObservables runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
                           const std::string& solverJson,
-                          std::size_t hostThreads, ipu::FaultPlan* plan,
-                          bool fusion = true) {
+                          std::size_t hostThreads, ipu::FaultPlan* plan) {
   Context ctx(ipu::IpuTarget::testTarget(tiles));
   auto layout =
       partition::Partitioner(ipu::Topology::singleIpu(tiles)).layout(g);
@@ -62,7 +66,6 @@ SolveObservables runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
 
   graph::Engine engine(ctx.graph(), hostThreads);
   EXPECT_EQ(engine.numHostThreads(), hostThreads);
-  engine.setSuperstepFusion(fusion);
   if (plan != nullptr) {
     plan->reset();
     engine.setFaultPlan(plan);
@@ -89,12 +92,19 @@ void expectProfilesIdentical(const ipu::Profile& a, const ipu::Profile& b) {
     EXPECT_EQ(cycles, it->second) << "cycles differ in " << category;
   }
   EXPECT_EQ(a.exchangeCycles, b.exchangeCycles);
+  EXPECT_EQ(a.exchangeIntraCycles, b.exchangeIntraCycles);
+  EXPECT_EQ(a.exchangeInterCycles, b.exchangeInterCycles);
   EXPECT_EQ(a.syncCycles, b.syncCycles);
   EXPECT_EQ(a.computeSupersteps, b.computeSupersteps);
   EXPECT_EQ(a.exchangeSupersteps, b.exchangeSupersteps);
   EXPECT_EQ(a.exchangeInstructions, b.exchangeInstructions);
   EXPECT_EQ(a.exchangedBytes, b.exchangedBytes);
+  EXPECT_EQ(a.interIpuBytes, b.interIpuBytes);
+  EXPECT_EQ(a.interIpuMessages, b.interIpuMessages);
   EXPECT_EQ(a.verticesExecuted, b.verticesExecuted);
+  EXPECT_TRUE(a.superstepStats == b.superstepStats);
+  EXPECT_EQ(a.metrics.counters(), b.metrics.counters());
+  EXPECT_EQ(a.metrics.gauges(), b.metrics.gauges());
   ASSERT_EQ(a.faultEvents.size(), b.faultEvents.size());
   for (std::size_t i = 0; i < a.faultEvents.size(); ++i) {
     EXPECT_TRUE(a.faultEvents[i] == b.faultEvents[i])
@@ -107,6 +117,61 @@ const char* kCgJson = R"({
   "type": "cg", "maxIterations": 200, "tolerance": 1e-6,
   "preconditioner": {"type": "jacobi", "iterations": 2}
 })";
+
+/// A two-tile graph whose compute sets rewrite every element of `data` as
+/// x = 2x + k: order-sensitive, so any reordering of supersteps or tiles
+/// would change the result bits, and small enough to check by hand.
+struct TestRig {
+  graph::Graph g{ipu::IpuTarget::testTarget(2)};
+  graph::TensorId data = graph::kInvalidTensor;
+
+  TestRig() {
+    graph::TensorInfo info;
+    info.name = "data";
+    info.dtype = ipu::DType::Float32;
+    info.mapping = graph::TileMapping::linear(8, 2);
+    data = g.addTensor(std::move(info));
+  }
+
+  /// Appends one x = 2x + k vertex over `tile`'s slice of `data` to `cs`.
+  void addVertex(graph::ComputeSetId cs, std::size_t tile, float k) {
+    graph::CodeletId c = g.addCodelet(graph::Codelet{
+        "affine", [k](graph::VertexContext& ctx) {
+          auto s = ctx.floatSpan(0);
+          for (float& x : s) x = 2.0f * x + k;
+          return graph::VertexCost{static_cast<double>(s.size()) * 3.0, false};
+        }});
+    graph::Vertex vx;
+    vx.codelet = c;
+    vx.tile = tile;
+    vx.args.push_back(graph::TensorSlice{data, tile, 0, 4});
+    g.addVertex(cs, vx);
+  }
+
+  /// Adds a compute set with one x = 2x + k vertex per tile.
+  graph::ComputeSetId addStep(float k) {
+    graph::ComputeSetId cs = g.addComputeSet("step");
+    for (std::size_t tile = 0; tile < 2; ++tile) addVertex(cs, tile, k);
+    return cs;
+  }
+
+  graph::CopySegment haloSeg(std::size_t srcTile, std::size_t dstTile) {
+    graph::CopySegment s;
+    s.src = data;
+    s.srcTile = srcTile;
+    s.srcBegin = 0;
+    s.dst = data;
+    s.dsts.push_back({dstTile, 2});
+    s.count = 2;
+    return s;
+  }
+
+  std::vector<float> runOn(graph::Engine& e, const graph::ProgramPtr& p) {
+    e.writeTensor<float>(data, std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8});
+    e.run(p);
+    return e.readTensor<float>(data);
+  }
+};
 
 }  // namespace
 
@@ -183,81 +248,169 @@ TEST(ParallelEngine, MixedPrecisionBitIdenticalToSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Superstep fusion A/B: fusing adjacent compute supersteps into one host
-// dispatch must be invisible — same solution bits, same Profile totals — on
-// full solver programs, serial and host-parallel, with and without the
-// fallback triggers (fault plan) attached.
+// One program walk: observers and cached plans must not change what the
+// simulated machine computes or charges.
 // ---------------------------------------------------------------------------
 
-TEST(SuperstepFusion, SolveBitIdenticalFusedVsUnfused) {
-  auto g = matrix::poisson2d5(24, 24);
-  SolveObservables unfused = runSolve(g, 8, kCgJson, 1, nullptr, false);
-  SolveObservables fused = runSolve(g, 8, kCgJson, 1, nullptr, true);
+TEST(Engine, ObserversLeaveResultsAndProfileUnchanged) {
+  // The same program on a bare engine, with a trace sink, and with an empty
+  // fault plan (which also forces the per-segment exchange walk): identical
+  // results and profiles, and one trace event per superstep at the same
+  // simulated-cycle stamps.
+  TestRig rig;
+  using graph::Program;
+  auto seq = Program::sequence();
+  seq->children.push_back(Program::execute(rig.addStep(1.0f)));
+  seq->children.push_back(Program::execute(rig.addStep(2.0f)));
+  seq->children.push_back(
+      Program::copy({rig.haloSeg(0, 1), rig.haloSeg(1, 0)}));
+  seq->children.push_back(Program::execute(rig.addStep(3.0f)));
 
-  ASSERT_EQ(unfused.x.size(), fused.x.size());
-  for (std::size_t i = 0; i < unfused.x.size(); ++i) {
-    EXPECT_EQ(unfused.x[i], fused.x[i]) << "element " << i;
-  }
-  expectProfilesIdentical(unfused.profile, fused.profile);
-}
+  graph::Engine bare(rig.g, 1);
+  const std::vector<float> want = rig.runOn(bare, seq);
+  EXPECT_EQ(bare.profile().computeSupersteps, 3u);
+  EXPECT_EQ(bare.profile().exchangeSupersteps, 1u);
 
-TEST(SuperstepFusion, ParallelFusedMatchesSerialUnfused) {
-  // The strongest cross-check: 8 host threads + fusion vs 1 thread without,
-  // in one comparison — any schedule dependence in either layer shows up.
-  auto g = matrix::poisson2d5(24, 24);
-  SolveObservables serial = runSolve(g, 8, kCgJson, 1, nullptr, false);
-  SolveObservables parallel = runSolve(g, 8, kCgJson, 8, nullptr, true);
+  support::TraceSink traceA, traceB;
+  graph::Engine traced(rig.g, 1);
+  traced.setTraceSink(&traceA);
+  ipu::FaultPlan empty = ipu::FaultPlan::fromJsonText(R"({"faults": []})");
+  graph::Engine guarded(rig.g, 1);
+  guarded.setFaultPlan(&empty);
+  guarded.setTraceSink(&traceB);
+  EXPECT_EQ(rig.runOn(traced, seq), want);
+  EXPECT_EQ(rig.runOn(guarded, seq), want);
+  expectProfilesIdentical(bare.profile(), traced.profile());
+  expectProfilesIdentical(bare.profile(), guarded.profile());
+  EXPECT_EQ(traced.simCycles(), bare.simCycles());
+  EXPECT_EQ(guarded.simCycles(), bare.simCycles());
 
-  ASSERT_EQ(serial.x.size(), parallel.x.size());
-  for (std::size_t i = 0; i < serial.x.size(); ++i) {
-    EXPECT_EQ(serial.x[i], parallel.x[i]) << "element " << i;
-  }
-  expectProfilesIdentical(serial.profile, parallel.profile);
-}
-
-TEST(SuperstepFusion, FaultPlanForcesFallbackAndStaysIdentical) {
-  // With a fault plan attached the engine must run fused members as plain
-  // supersteps so hooks fire at the exact unfused instants; the observable
-  // recovery timeline therefore cannot depend on the fusion setting.
-  auto g = matrix::poisson2d5(20, 20);
-  auto makePlan = [] {
-    return ipu::FaultPlan::fromJsonText(R"({
-      "seed": 11,
-      "faults": [
-        {"type": "stall", "tile": 1, "cycles": 5000, "superstep": 7},
-        {"type": "bitflip", "tensor": "cg_resid", "bit": 30, "count": 2,
-         "skip": 30}
-      ]
-    })");
+  const std::vector<support::TraceEvent> a = traceA.events();
+  const std::vector<support::TraceEvent> b = traceB.events();
+  auto count = [](const std::vector<support::TraceEvent>& events,
+                  support::TraceKind kind) {
+    return std::count_if(events.begin(), events.end(),
+                         [kind](const auto& e) { return e.kind == kind; });
   };
-  ipu::FaultPlan planA = makePlan();
-  ipu::FaultPlan planB = makePlan();
-  SolveObservables unfused = runSolve(g, 8, kCgJson, 1, &planA, false);
-  SolveObservables fused = runSolve(g, 8, kCgJson, 8, &planB, true);
-
-  ASSERT_EQ(unfused.x.size(), fused.x.size());
-  for (std::size_t i = 0; i < unfused.x.size(); ++i) {
-    EXPECT_EQ(unfused.x[i], fused.x[i]) << "element " << i;
+  EXPECT_EQ(count(a, support::TraceKind::ComputeSuperstep), 3);
+  EXPECT_EQ(count(a, support::TraceKind::ExchangeSuperstep), 1);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
+    EXPECT_EQ(a[i].startCycle, b[i].startCycle) << "event " << i;
+    EXPECT_EQ(a[i].durationCycles, b[i].durationCycles) << "event " << i;
   }
-  expectProfilesIdentical(unfused.profile, fused.profile);
-  EXPECT_FALSE(fused.profile.faultEvents.empty());
 }
 
-TEST(SuperstepFusion, MixedPrecisionFusedVsUnfused) {
-  auto g = matrix::poisson2d5(16, 16);
-  const char* mpirJson = R"({
-    "type": "mpir", "extendedType": "doubleword",
-    "maxRefinements": 4, "tolerance": 1e-12,
-    "inner": {"type": "cg", "maxIterations": 10, "tolerance": 0}
-  })";
-  SolveObservables unfused = runSolve(g, 8, mpirJson, 1, nullptr, false);
-  SolveObservables fused = runSolve(g, 8, mpirJson, 8, nullptr, true);
+TEST(Engine, ExecPlanRebuildsWhenComputeSetGrows) {
+  // A compute set's cached ExecPlan must rebuild when vertices are appended
+  // after a run, not replay the stale vertex list.
+  TestRig rig;
+  graph::ComputeSetId cs = rig.addStep(1.0f);
+  auto prog = graph::Program::execute(cs);
+  graph::Engine engine(rig.g, 1);
+  EXPECT_EQ(rig.runOn(engine, prog),
+            (std::vector<float>{3, 5, 7, 9, 11, 13, 15, 17}));
 
-  ASSERT_EQ(unfused.x.size(), fused.x.size());
-  for (std::size_t i = 0; i < unfused.x.size(); ++i) {
-    EXPECT_EQ(unfused.x[i], fused.x[i]) << "element " << i;
-  }
-  expectProfilesIdentical(unfused.profile, fused.profile);
+  // A second vertex on tile 0 runs after the first: x -> 2(2x + 1) + 9.
+  rig.addVertex(cs, 0, 9.0f);
+  EXPECT_EQ(rig.runOn(engine, prog),
+            (std::vector<float>{15, 19, 23, 27, 11, 13, 15, 17}));
+  EXPECT_EQ(engine.profile().verticesExecuted, 2u + 3u);
+  EXPECT_EQ(engine.profile().computeSupersteps, 2u);
+}
+
+TEST(Engine, ExcludedTileKeepsValuesAndChargesNothing) {
+  TestRig rig;
+  auto seq = graph::Program::sequence();
+  seq->children.push_back(graph::Program::execute(rig.addStep(1.0f)));
+  seq->children.push_back(graph::Program::execute(rig.addStep(2.0f)));
+
+  graph::Engine full(rig.g, 1);
+  rig.runOn(full, seq);
+  graph::Engine excluded(rig.g, 1);
+  excluded.setExcludedTiles({1});
+  const std::vector<float> got = rig.runOn(excluded, seq);
+  // Tile 0 ran both steps (x -> 2(2x + 1) + 2); tile 1's slice still holds
+  // the uploaded values.
+  EXPECT_EQ(got, (std::vector<float>{8, 12, 16, 20, 5, 6, 7, 8}));
+  // The excluded tile charges zero cycles: every superstep's fastest tile is
+  // at 0, while tile 0 alone still sets the unchanged critical path.
+  const ipu::SuperstepStats& stats =
+      excluded.profile().superstepStats.at("step");
+  EXPECT_EQ(stats.supersteps, 2u);
+  EXPECT_EQ(stats.minCycles, 0.0);
+  EXPECT_GT(stats.maxCycles, 0.0);
+  EXPECT_EQ(stats.maxCycles,
+            full.profile().superstepStats.at("step").maxCycles);
+  EXPECT_EQ(excluded.simCycles(), full.simCycles());
+}
+
+TEST(Exchange, CachedCopyPlanMatchesSegmentWalk) {
+  // The engine resolves a Copy step once and replays it when no fault plan
+  // or tile profile is attached. An *empty* fault plan forces the full
+  // per-segment walk without changing any outcome — a perfect oracle.
+  TestRig rigA;
+  auto seqA = graph::Program::sequence();
+  seqA->children.push_back(
+      graph::Program::copy({rigA.haloSeg(0, 1), rigA.haloSeg(1, 0)}));
+  seqA->children.push_back(graph::Program::execute(rigA.addStep(1.0f)));
+  seqA->children.push_back(
+      graph::Program::copy({rigA.haloSeg(0, 1), rigA.haloSeg(1, 0)}));
+  TestRig rigB;
+  auto seqB = graph::Program::sequence();
+  seqB->children.push_back(
+      graph::Program::copy({rigB.haloSeg(0, 1), rigB.haloSeg(1, 0)}));
+  seqB->children.push_back(graph::Program::execute(rigB.addStep(1.0f)));
+  seqB->children.push_back(
+      graph::Program::copy({rigB.haloSeg(0, 1), rigB.haloSeg(1, 0)}));
+
+  ipu::FaultPlan empty = ipu::FaultPlan::fromJsonText(R"({"faults": []})");
+  graph::Engine walked(rigA.g, 1);
+  walked.setFaultPlan(&empty);  // forces the per-segment path
+  graph::Engine cached(rigB.g, 1);
+  const std::vector<float> want = rigA.runOn(walked, seqA);
+  const std::vector<float> got = rigB.runOn(cached, seqB);
+  EXPECT_EQ(want, got);
+  expectProfilesIdentical(walked.profile(), cached.profile());
+  EXPECT_GT(cached.profile().exchangedBytes, 0u);
+
+  // Replay: run the same program again on the cached engine — the second
+  // pass (a pure cache hit) must charge exactly the same exchange totals.
+  const auto bytesOnce = cached.profile().exchangedBytes;
+  const auto cyclesOnce = cached.profile().exchangeCycles;
+  rigB.runOn(cached, seqB);
+  EXPECT_EQ(cached.profile().exchangedBytes, 2 * bytesOnce);
+  EXPECT_EQ(cached.profile().exchangeCycles, 2 * cyclesOnce);
+}
+
+TEST(Exchange, ZeroByteExchangeIsSkippedButStillCommitted) {
+  // A Copy whose only destination is its own source is a zero-byte exchange
+  // superstep: the event-driven path must skip the segment simulation yet
+  // still commit the superstep (count +1, zero bytes, zero cycles) exactly
+  // like the full walk does.
+  TestRig rig;
+  graph::CopySegment self;
+  self.src = rig.data;
+  self.srcTile = 0;
+  self.srcBegin = 0;
+  self.dst = rig.data;
+  self.dsts.push_back({0, 0});
+  self.count = 4;
+  auto seq = graph::Program::sequence();
+  seq->children.push_back(graph::Program::copy({self}));
+
+  ipu::FaultPlan empty = ipu::FaultPlan::fromJsonText(R"({"faults": []})");
+  graph::Engine walked(rig.g, 1);
+  walked.setFaultPlan(&empty);
+  graph::Engine cached(rig.g, 1);
+  const std::vector<float> want = rig.runOn(walked, seq);
+  const std::vector<float> got = rig.runOn(cached, seq);
+  EXPECT_EQ(want, got);
+  expectProfilesIdentical(walked.profile(), cached.profile());
+  EXPECT_EQ(cached.profile().exchangeSupersteps, 1u);
+  EXPECT_EQ(cached.profile().exchangedBytes, 0u);
+  EXPECT_EQ(cached.profile().exchangeCycles, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -265,17 +265,17 @@ TEST(HaloLayout, SingleTileHasNoHalo) {
 // Pod-aware partitioning (multi-IPU)
 // ---------------------------------------------------------------------------
 
-TEST(PodPartition, SingleIpuMatchesDeprecatedPartitionAuto) {
-  // The old free function is now a shim over Partitioner; the single-chip
-  // path must stay bit-compatible so existing layouts (and plan-cache
-  // fingerprints) survive the port.
+TEST(PodPartition, SingleIpuMatchesFlatPartitioners) {
+  // On one chip Partitioner must reproduce the flat block-grid and BFS
+  // partitioners exactly, so existing layouts (and plan-cache fingerprints)
+  // stay bit-compatible.
   for (std::size_t tiles : {4u, 7u}) {
     auto grid = matrix::poisson2d5(8, 8);
     auto circ = matrix::g3CircuitLike(1500);
     EXPECT_EQ(Partitioner(ipu::Topology::singleIpu(tiles)).map(grid),
-              partitionAuto(grid, tiles));
+              partitionGrid(grid.nx, grid.ny, grid.nz, tiles));
     EXPECT_EQ(Partitioner(ipu::Topology::singleIpu(tiles)).map(circ),
-              partitionAuto(circ, tiles));
+              partitionBfs(circ.matrix, tiles));
   }
 }
 
