@@ -25,7 +25,7 @@ struct Config {
   std::string solver;
   std::size_t rows;
   std::size_t tiles;
-  std::size_t iterations;  // CG iterations / MPIR refinements
+  std::size_t iterations;  // CG/BiCGStab iterations / MPIR refinements
 };
 
 struct Result {
@@ -49,6 +49,11 @@ Result runOnce(const Config& cfg, std::size_t hostThreads) {
   if (cfg.solver == "cg") {
     slv = std::make_unique<solver::CgSolver>(
         cfg.iterations, 0.0, std::make_unique<solver::JacobiSolver>(2));
+  } else if (cfg.solver == "bicgstab-ilu") {
+    // Level-set ILU(0): factorisation plus two triangular solves per
+    // iteration, the branchy row kernels of the compiled ParFor VM.
+    slv = std::make_unique<solver::BiCgStabSolver>(
+        cfg.iterations, 0.0, std::make_unique<solver::IluSolver>());
   } else {
     slv = std::make_unique<solver::MpirSolver>(
         ipu::DType::DoubleWord, cfg.iterations, 0.0,
@@ -84,6 +89,7 @@ int main(int argc, char** argv) {
   const std::vector<Config> configs = {
       {"cg", 48, 16, 40},
       {"mpir", 48, 16, 3},
+      {"bicgstab-ilu", 48, 16, 15},
   };
 
   // 1 thread isolates the plan-cache + fast-path gains; the ladder up to

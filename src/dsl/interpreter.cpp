@@ -246,15 +246,31 @@ struct LoopOp {
     IConst, IMov, ILoad,
     IAdd, ISub, IMul, IMin, IMax,
     INeg, IAbs, IFromFloat,
-    // Parallel-row kernels only: a nested counted unit-step loop.
-    // LBegin: dst = induction reg, a = begin reg, b = end reg, arg = loop
-    // ordinal (trip-count slot), iimm = pc of the matching LEnd.
-    // LEnd: a = induction reg, iimm = pc of the matching LBegin.
+    // Comparisons and logic: the result is a Bool held as 0/1 in an int
+    // register. Gt/Ge compile to Lt/Le with swapped operands. FBool is
+    // Scalar::truthy of a float; INot/IAnd/IOr test int registers != 0.
+    FLt, FLe, FEq, FNe, ILt, ILe, IEq, INe,
+    FBool, INot, IAnd, IOr,
+    // Parallel-row kernels only: structured control flow. Jump targets
+    // (iimm) are absolute pcs.
+    // LBegin: dst = induction reg (dst + 1 holds the end bound), a = begin
+    // reg, b = end reg, arg = loop ordinal (trip-count slot of polynomial
+    // kernels), iimm = pc just past the matching LEnd (zero-trip exit).
+    // LEnd: a = induction reg, iimm = pc of the loop body's first op.
     LBegin, LEnd,
+    // Block-charged kernels only (LoopKernel::charged).
+    // Br: a = condition reg; falls through when nonzero, else jumps to iimm.
+    // Jmp: jumps to iimm. Chg: charge only.
+    // WEnd: a = the While's iteration counter (runaway guard), iimm = pc of
+    // the condition's first op.
+    Br, Jmp, Chg, WEnd,
   };
   K k{};
   std::int16_t dst = -1, a = -1, b = -1;
   std::int16_t arg = -1;
+  // Block-charged kernels: index into LoopKernel::charges of the lanes a
+  // control op adds before it acts (-1 = none).
+  std::int16_t lanes = -1;
   float fimm = 0;
   std::int32_t iimm = 0;
   // Load/store index register proven equal to the induction value at this op
@@ -297,7 +313,7 @@ struct CsrRow {
 };
 
 struct LoopKernel {
-  static constexpr std::size_t kMaxRegs = 64;
+  static constexpr std::size_t kMaxRegs = 128;
   static constexpr std::size_t kMaxArgs = 16;
   static constexpr std::size_t kMaxNested = 8;
 
@@ -315,6 +331,7 @@ struct LoopKernel {
   // Vars assigned in the body, written back after the last iteration.
   std::vector<std::pair<std::int32_t, std::int16_t>> writeFloat;
   std::vector<std::pair<std::int32_t, std::int16_t>> writeInt;
+  std::vector<std::pair<std::int32_t, std::int16_t>> writeBool;
   // Runtime dtype guards (trace-time types must hold at run time or the
   // kernel is skipped for that execution).
   std::vector<std::int16_t> floatArgs, intArgs;
@@ -333,6 +350,14 @@ struct LoopKernel {
   std::vector<Seg> segs;    // L+1 straight-line blocks
   std::vector<Seg> nested;  // per-iteration lanes of each nested loop
   double branchCost = 0;
+  // Block-charged row kernels (bodies with If/While, where no closed form in
+  // trip counts exists): every straight-line stretch's lanes are priced at
+  // compile time into `charges`, and the control op ending the stretch adds
+  // them to the row's running lanes. Wherever the walk calls chargeBranch
+  // (If/While test, nested For entry) the op flushes max(fp, mem) + ctrl and
+  // adds the branch cost — the walk's accumulation, block by block.
+  bool charged = false;
+  std::vector<Seg> charges;
   CsrRow csr;
   // Block-vectorizable kernels (serial loops and flat ParFor rows): no
   // register is loop-carried (read before its first write while also
@@ -360,7 +385,6 @@ void analyzeBlockable(LoopKernel& k) {
   k.blockable = false;
   constexpr std::size_t R = LoopKernel::kMaxRegs;
   std::array<bool, R> fWritten{}, iWritten{};
-  std::array<bool, R> fCarried{}, iCarried{};
   std::array<bool, R> fReadEarly{}, iReadEarly{};
   auto readF = [&](std::int16_t r) {
     if (r >= 0 && !fWritten[static_cast<std::size_t>(r)])
@@ -444,8 +468,12 @@ void analyzeBlockable(LoopKernel& k) {
         readF(op.a); writeI(op.dst);
         if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
         break;
+      case K::FLt: case K::FLe: case K::FEq: case K::FNe:
+      case K::ILt: case K::ILe: case K::IEq: case K::INe:
+      case K::FBool: case K::INot: case K::IAnd: case K::IOr:
       case K::LBegin: case K::LEnd:
-        return;  // nested loops: parallel kernels only, never blockable
+      case K::Br: case K::Jmp: case K::Chg: case K::WEnd:
+        return;  // logic and control flow stay on the scalar VM
     }
   }
   if (ivWritten) return;
@@ -472,9 +500,9 @@ void analyzeBlockable(LoopKernel& k) {
 }
 
 /// Compiles one For statement's body into a LoopKernel, or nothing if the
-/// body leaves the supported subset (nested control flow, bools, comparisons,
-/// integer division, extended-precision types, …). Bailing is never an error:
-/// the generic walk runs the loop instead.
+/// body leaves the supported subset (control flow outside ParFor rows,
+/// Select, integer division and modulo, extended-precision types, …).
+/// Bailing is never an error: the generic walk runs the loop instead.
 class LoopCompiler {
  public:
   LoopCompiler(const FlatCodelet& flat, const ipu::CostModel& cost)
@@ -483,17 +511,9 @@ class LoopCompiler {
   std::optional<LoopKernel> compile(std::int32_t forId) {
     const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
     if (fs.var < 0 || fs.body < 0) return std::nullopt;
-    k_ = LoopKernel{};
-    iter_ = ipu::LaneCycles{};
-    homes_.clear();
-    constInts_.clear();
-    loopVar_ = fs.var;
-    // Int register 0 is the induction variable.
-    k_.numIntRegs = 1;
+    reset(fs.var, /*par=*/false);
     try {
-      for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(fs.body)]) {
-        compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
-      }
+      compileList(fs.body);
     } catch (const Bail&) {
       return std::nullopt;
     }
@@ -505,40 +525,31 @@ class LoopCompiler {
     return std::move(k_);
   }
 
-  /// Compiles a whole ParFor row body — straight-line code plus single-level
-  /// counted unit-step For loops — into one parallel kernel. Bailing is never
-  /// an error: the generic worker-pool walk runs the loop instead.
+  /// Compiles a whole ParFor row body into one parallel kernel. Without
+  /// If/While the body is straight-line code plus single-level counted
+  /// unit-step For loops, charged by the segment polynomial; with them it is
+  /// structured control flow (If/else, While, unit-step For at any depth),
+  /// charged block by block (LoopKernel::charged). Bailing is never an
+  /// error: the generic worker-pool walk runs the loop instead.
   std::optional<LoopKernel> compilePar(std::int32_t parForId) {
     const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(parForId)];
     if (fs.var < 0 || fs.body < 0) return std::nullopt;
-    k_ = LoopKernel{};
-    iter_ = ipu::LaneCycles{};
-    homes_.clear();
-    constInts_.clear();
-    retired_.clear();
-    nestedVars_.clear();
-    segLanes_.assign(1, ipu::LaneCycles{});
-    nestedLanes_.clear();
-    loopVar_ = fs.var;
-    parMode_ = true;
-    inNested_ = false;
+    reset(fs.var, /*par=*/true);
+    scanBody(fs.body);
     k_.isPar = true;
-    k_.numIntRegs = 1;  // int register 0 is the row index
-    bool ok = true;
+    k_.charged = branchy_;
     try {
-      for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(fs.body)]) {
-        compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
-      }
+      compileList(fs.body);
+      if (branchy_) emitCharge();  // the row's trailing stretch
     } catch (const Bail&) {
-      ok = false;
+      return std::nullopt;
     }
-    parMode_ = false;
-    inNested_ = false;
-    if (!ok) return std::nullopt;
-    // Nested induction variables do not survive the kernel: nothing outside
-    // the row body may read them.
+    // Vars first defined inside a nested block (nested induction variables
+    // included) hold no value the walk would agree on once the kernel is
+    // done if that block never ran: nothing outside the row body may read
+    // them.
     const std::unordered_set<int> outside = varsReadOutside(parForId);
-    for (int v : nestedVars_) {
+    for (int v : scopedVars_) {
       if (outside.count(v) != 0) return std::nullopt;
     }
     for (const ipu::LaneCycles& l : segLanes_) {
@@ -548,28 +559,73 @@ class LoopCompiler {
       k_.nested.push_back({l.fp(), l.mem(), l.ctrl()});
     }
     k_.branchCost = cost_.workerCycles(ipu::Op::Branch, DType::Int32);
-    if (k_.nested.size() == 2) matchCsrRow(parForId);
+    if (!branchy_ && k_.nested.size() == 2) matchCsrRow(parForId);
     analyzeBlockable(k_);
     return std::move(k_);
   }
 
  private:
   struct Bail {};
+  /// A compiled value: Float32 lives in a float register, Int32 and Bool
+  /// (0/1) in an int register. `fresh`: the last emitted op computed it into
+  /// a register nothing else uses, so an assignment may retarget that op.
   struct Val {
     std::int16_t reg;
-    bool isFloat;
+    DType type;
+    bool fresh = false;
+    bool isFloat() const { return type == DType::Float32; }
   };
   struct Home {
     std::int16_t reg;
-    bool isFloat;
+    DType type;
     bool assigned = false;
-    // Nested-loop ordinal whose body created this home via an Assign, or -1.
-    // A var first defined inside a loop that may run zero iterations has no
-    // defined value outside that loop, so reads elsewhere must bail.
-    std::int16_t definedLoop = -1;
+    // Block whose statement list first defined the var (0 = the loop body,
+    // which also covers vars seeded on entry). Reads compile only while that
+    // block is open: elsewhere the walk could read a value the block never
+    // wrote (a zero-trip loop, an untaken branch).
+    int defBlock = 0;
+    bool induction = false;  // a nested For's loop variable: read-only
+  };
+  struct ConstInt {
+    std::int32_t value;
+    int block;  // block of the (only) assignment
   };
 
   [[noreturn]] static void bail() { throw Bail{}; }
+
+  void reset(int loopVar, bool par) {
+    k_ = LoopKernel{};
+    k_.numIntRegs = 1;  // int register 0 is the induction variable / row
+    iter_ = ipu::LaneCycles{};
+    pending_ = ipu::LaneCycles{};
+    homes_.clear();
+    constInts_.clear();
+    assignCount_.clear();
+    scopedVars_.clear();
+    blockStack_.assign(1, 0);
+    nextBlock_ = 1;
+    segLanes_.assign(1, ipu::LaneCycles{});
+    nestedLanes_.clear();
+    loopVar_ = loopVar;
+    parMode_ = par;
+    branchy_ = false;
+    inNested_ = false;
+  }
+
+  /// Pre-pass over a row body: does it branch, and how often is each var
+  /// assigned (a var assigned once keeps a literal value it is given).
+  void scanBody(std::int32_t listId) {
+    if (listId < 0) return;
+    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
+      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
+      if (s.kind == Stmt::Kind::If || s.kind == Stmt::Kind::While) {
+        branchy_ = true;
+      }
+      if (s.kind == Stmt::Kind::Assign) ++assignCount_[s.var];
+      scanBody(s.body);
+      scanBody(s.elseBody);
+    }
+  }
 
   std::int16_t newFloat() {
     if (k_.numFloatRegs >= static_cast<int>(LoopKernel::kMaxRegs)) bail();
@@ -578,6 +634,9 @@ class LoopCompiler {
   std::int16_t newInt() {
     if (k_.numIntRegs >= static_cast<int>(LoopKernel::kMaxRegs)) bail();
     return static_cast<std::int16_t>(k_.numIntRegs++);
+  }
+  std::int16_t newReg(DType t) {
+    return t == DType::Float32 ? newFloat() : newInt();
   }
 
   void emit(LoopOp::K kk, std::int16_t dst, std::int16_t a = -1,
@@ -591,14 +650,13 @@ class LoopCompiler {
     k_.ops.push_back(op);
   }
 
-  void chargeIter(ipu::Op op, DType t) {
-    if (parMode_) {
-      (inNested_ ? nestedLanes_[curNested_] : segLanes_.back())
-          .add(cost_, op, t);
-    } else {
-      iter_.add(cost_, op, t);
-    }
+  ipu::LaneCycles& lanes() {
+    if (!parMode_) return iter_;
+    if (branchy_) return pending_;
+    return inNested_ ? nestedLanes_[curNested_] : segLanes_.back();
   }
+
+  void chargeIter(ipu::Op op, DType t) { lanes().add(cost_, op, t); }
 
   std::int16_t guardArg(std::int32_t arg, bool isFloat) {
     if (arg < 0 || arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) bail();
@@ -609,94 +667,86 @@ class LoopCompiler {
   }
 
   std::int16_t toInt(Val v) {
-    if (!v.isFloat) return v.reg;
+    if (!v.isFloat()) return v.reg;  // Bool is 0/1, as Scalar::castTo(Int32)
     const std::int16_t dst = newInt();
     emit(LoopOp::K::IFromFloat, dst, v.reg);  // matches Scalar::castTo(Int32)
     return dst;
   }
 
   std::int16_t toFloat(Val v) {
-    if (v.isFloat) return v.reg;
+    if (v.isFloat()) return v.reg;
     const std::int16_t dst = newFloat();
     emit(LoopOp::K::FFromInt, dst, v.reg);  // matches Scalar::castTo(Float32)
     return dst;
   }
 
+  /// An int register whose nonzero-ness is Scalar::truthy of `v`.
+  std::int16_t truth(Val v) {
+    if (!v.isFloat()) return v.reg;
+    const std::int16_t dst = newInt();
+    emit(LoopOp::K::FBool, dst, v.reg);
+    return dst;
+  }
+
+  bool blockOpen(int block) const {
+    return block == 0 ||
+           std::find(blockStack_.begin(), blockStack_.end(), block) !=
+               blockStack_.end();
+  }
+
   Val compileExpr(std::int32_t id) {
     if (id < 0) bail();
     const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
+    using K = LoopOp::K;
     switch (e.kind) {
       case Expr::Kind::Const: {
-        if (e.constant.type() == DType::Float32) {
+        const DType t = e.constant.type();
+        if (t == DType::Float32) {
           const std::int16_t dst = newFloat();
           LoopOp op;
-          op.k = LoopOp::K::FConst;
+          op.k = K::FConst;
           op.dst = dst;
           op.fimm = e.constant.asFloat();
           k_.ops.push_back(op);
-          return {dst, true};
+          return {dst, t, true};
         }
-        if (e.constant.type() == DType::Int32) {
+        if (t == DType::Int32 || t == DType::Bool) {
           const std::int16_t dst = newInt();
           LoopOp op;
-          op.k = LoopOp::K::IConst;
+          op.k = K::IConst;
           op.dst = dst;
-          op.iimm = e.constant.asInt();
+          op.iimm = t == DType::Bool ? (e.constant.asBool() ? 1 : 0)
+                                     : e.constant.asInt();
           k_.ops.push_back(op);
-          return {dst, false};
+          return {dst, t, true};
         }
         bail();
       }
       case Expr::Kind::Var: {
-        if (parMode_) {
-          if (inNested_ && e.var == nestedVar_) return {nestedIvReg_, false};
-          if (retired_.count(e.var) != 0) bail();
-        }
-        if (e.var == loopVar_) return {0, false};
+        if (e.var == loopVar_) return {0, DType::Int32};
         auto it = homes_.find(e.var);
         if (it != homes_.end()) {
-          // A home first defined inside a nested loop only holds a value
-          // while that loop's body runs (the loop may zero-trip).
-          const Home& h = it->second;
-          if (h.definedLoop >= 0 &&
-              (!inNested_ ||
-               static_cast<std::size_t>(h.definedLoop) != curNested_)) {
-            bail();
-          }
-          return {h.reg, h.isFloat};
+          if (!blockOpen(it->second.defBlock)) bail();
+          return {it->second.reg, it->second.type};
         }
         // First touch is a read: the var is loop-carried or loop-invariant;
         // seed its home register from the interpreter's var slot on entry.
-        bool isFloat;
-        if (e.type == DType::Float32) {
-          isFloat = true;
-        } else if (e.type == DType::Int32) {
-          isFloat = false;
-        } else {
-          bail();
-        }
-        const std::int16_t reg = isFloat ? newFloat() : newInt();
-        (isFloat ? k_.seedFloat : k_.seedInt).emplace_back(e.var, reg);
-        homes_.emplace(e.var, Home{reg, isFloat, false});
-        return {reg, isFloat};
+        if (e.type != DType::Float32 && e.type != DType::Int32) bail();
+        const std::int16_t reg = newReg(e.type);
+        (e.type == DType::Float32 ? k_.seedFloat : k_.seedInt)
+            .emplace_back(e.var, reg);
+        homes_.emplace(e.var, Home{reg, e.type});
+        return {reg, e.type};
       }
       case Expr::Kind::ArgLoad: {
         const std::int16_t idx = toInt(compileExpr(e.a));
-        if (e.type == DType::Float32) {
-          const std::int16_t arg = guardArg(e.arg, /*isFloat=*/true);
-          chargeIter(ipu::Op::Load, DType::Float32);
-          const std::int16_t dst = newFloat();
-          emit(LoopOp::K::FLoad, dst, idx, -1, arg);
-          return {dst, true};
-        }
-        if (e.type == DType::Int32) {
-          const std::int16_t arg = guardArg(e.arg, /*isFloat=*/false);
-          chargeIter(ipu::Op::Load, DType::Int32);
-          const std::int16_t dst = newInt();
-          emit(LoopOp::K::ILoad, dst, idx, -1, arg);
-          return {dst, false};
-        }
-        bail();
+        if (e.type != DType::Float32 && e.type != DType::Int32) bail();
+        const bool isFloat = e.type == DType::Float32;
+        const std::int16_t arg = guardArg(e.arg, isFloat);
+        chargeIter(ipu::Op::Load, e.type);
+        const std::int16_t dst = newReg(e.type);
+        emit(isFloat ? K::FLoad : K::ILoad, dst, idx, -1, arg);
+        return {dst, e.type, true};
       }
       case Expr::Kind::ArgSize: {
         if (e.arg < 0 || e.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs))
@@ -704,78 +754,89 @@ class LoopCompiler {
         const std::int16_t dst = newInt();
         k_.sizeSeeds.emplace_back(dst, static_cast<std::int16_t>(e.arg));
         chargeIter(ipu::Op::IntArith, DType::Int32);
-        return {dst, false};
+        return {dst, DType::Int32};
       }
       case Expr::Kind::WorkerId: {
         if (k_.workerReg < 0) k_.workerReg = newInt();
-        return {k_.workerReg, false};
+        return {k_.workerReg, DType::Int32};
       }
       case Expr::Kind::Binary: {
-        switch (e.bop) {
-          case BinOp::Add: case BinOp::Sub: case BinOp::Mul: case BinOp::Div:
-          case BinOp::Min: case BinOp::Max:
-            break;
-          default:
-            bail();  // comparisons/logic produce bools; Mod needs checks
-        }
+        if (e.bop == BinOp::Mod) bail();  // zero check in generic walk
         const Val a = compileExpr(e.a);
         const Val b = compileExpr(e.b);
-        if (!a.isFloat && !b.isFloat) {
-          if (e.bop == BinOp::Div) bail();  // zero check in generic walk
-          chargeIter(ipu::Op::IntArith, DType::Int32);
+        // Priced like the walk: the op at the operands' promoted type (casts
+        // inside evalBinaryScalar are uncharged).
+        const DType common = promote(a.type, b.type);
+        const bool isFloat = common == DType::Float32;
+        if (!isFloat && e.bop == BinOp::Div) bail();  // zero check in walk
+        chargeIter(costOpFor(e.bop, common), common);
+        if (e.bop == BinOp::And || e.bop == BinOp::Or) {
+          const std::int16_t ta = truth(a);
+          const std::int16_t tb = truth(b);
           const std::int16_t dst = newInt();
-          LoopOp::K kk;
-          switch (e.bop) {
-            case BinOp::Add: kk = LoopOp::K::IAdd; break;
-            case BinOp::Sub: kk = LoopOp::K::ISub; break;
-            case BinOp::Mul: kk = LoopOp::K::IMul; break;
-            case BinOp::Min: kk = LoopOp::K::IMin; break;
-            default: kk = LoopOp::K::IMax; break;
-          }
-          emit(kk, dst, a.reg, b.reg);
-          return {dst, false};
+          emit(e.bop == BinOp::And ? K::IAnd : K::IOr, dst, ta, tb);
+          return {dst, DType::Bool, true};
         }
-        // Promotion to Float32 (casts inside evalBinaryScalar are uncharged).
-        const std::int16_t fa = toFloat(a);
-        const std::int16_t fb = toFloat(b);
-        chargeIter(costOpFor(e.bop, DType::Float32), DType::Float32);
-        const std::int16_t dst = newFloat();
-        LoopOp::K kk;
+        const std::int16_t ra = isFloat ? toFloat(a) : a.reg;
+        const std::int16_t rb = isFloat ? toFloat(b) : b.reg;
+        K kk;
+        bool swap = false;
+        bool cmp = true;
         switch (e.bop) {
-          case BinOp::Add: kk = LoopOp::K::FAdd; break;
-          case BinOp::Sub: kk = LoopOp::K::FSub; break;
-          case BinOp::Mul: kk = LoopOp::K::FMul; break;
-          case BinOp::Div: kk = LoopOp::K::FDiv; break;
-          case BinOp::Min: kk = LoopOp::K::FMin; break;
-          default: kk = LoopOp::K::FMax; break;
+          case BinOp::Add: kk = isFloat ? K::FAdd : K::IAdd; cmp = false; break;
+          case BinOp::Sub: kk = isFloat ? K::FSub : K::ISub; cmp = false; break;
+          case BinOp::Mul: kk = isFloat ? K::FMul : K::IMul; cmp = false; break;
+          case BinOp::Div: kk = K::FDiv; cmp = false; break;
+          case BinOp::Min: kk = isFloat ? K::FMin : K::IMin; cmp = false; break;
+          case BinOp::Max: kk = isFloat ? K::FMax : K::IMax; cmp = false; break;
+          case BinOp::Lt: kk = isFloat ? K::FLt : K::ILt; break;
+          case BinOp::Le: kk = isFloat ? K::FLe : K::ILe; break;
+          case BinOp::Gt: kk = isFloat ? K::FLt : K::ILt; swap = true; break;
+          case BinOp::Ge: kk = isFloat ? K::FLe : K::ILe; swap = true; break;
+          case BinOp::Eq: kk = isFloat ? K::FEq : K::IEq; break;
+          case BinOp::Ne: kk = isFloat ? K::FNe : K::INe; break;
+          default: bail();
         }
-        emit(kk, dst, fa, fb);
-        return {dst, true};
+        const DType rt =
+            cmp ? DType::Bool : (isFloat ? DType::Float32 : DType::Int32);
+        const std::int16_t dst = newReg(rt);
+        emit(kk, dst, swap ? rb : ra, swap ? ra : rb);
+        return {dst, rt, true};
       }
       case Expr::Kind::Unary: {
-        if (e.uop == UnOp::Not) bail();
         const Val a = compileExpr(e.a);
-        const DType at = a.isFloat ? DType::Float32 : DType::Int32;
-        chargeIter(costOpFor(e.uop), at);
+        chargeIter(costOpFor(e.uop), a.type);
+        if (e.uop == UnOp::Not) {
+          const std::int16_t t = truth(a);
+          const std::int16_t dst = newInt();
+          emit(K::INot, dst, t);
+          return {dst, DType::Bool, true};
+        }
         if (e.uop == UnOp::Sqrt) {
           const std::int16_t fa = toFloat(a);  // generic casts ints to f32
           const std::int16_t dst = newFloat();
-          emit(LoopOp::K::FSqrt, dst, fa);
-          return {dst, true};
+          emit(K::FSqrt, dst, fa);
+          return {dst, DType::Float32, true};
         }
-        const std::int16_t dst = a.isFloat ? newFloat() : newInt();
-        emit(a.isFloat
-                 ? (e.uop == UnOp::Neg ? LoopOp::K::FNeg : LoopOp::K::FAbs)
-                 : (e.uop == UnOp::Neg ? LoopOp::K::INeg : LoopOp::K::IAbs),
+        // Neg/Abs of a Bool act on its Int32 cast, like evalUnaryScalar.
+        const DType rt = a.isFloat() ? DType::Float32 : DType::Int32;
+        const std::int16_t dst = newReg(rt);
+        emit(a.isFloat()
+                 ? (e.uop == UnOp::Neg ? K::FNeg : K::FAbs)
+                 : (e.uop == UnOp::Neg ? K::INeg : K::IAbs),
              dst, a.reg);
-        return {dst, a.isFloat};
+        return {dst, rt, true};
       }
       case Expr::Kind::Cast: {
         const Val a = compileExpr(e.a);
         // Only same-width casts are uncharged and representable here;
-        // double-word / float64 targets bail (they would also be charged).
-        if (e.type == DType::Float32) return {toFloat(a), true};
-        if (e.type == DType::Int32) return {toInt(a), false};
+        // double-word / float64 / bool targets bail.
+        if (e.type == DType::Float32) {
+          return {toFloat(a), DType::Float32, a.fresh || !a.isFloat()};
+        }
+        if (e.type == DType::Int32) {
+          return {toInt(a), DType::Int32, a.fresh || a.isFloat()};
+        }
         bail();
       }
       case Expr::Kind::Select:
@@ -784,47 +845,29 @@ class LoopCompiler {
     GRAPHENE_UNREACHABLE("bad expr kind");
   }
 
+  void compileList(std::int32_t listId) {
+    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
+      compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
+    }
+  }
+
+  /// Compiles a statement list as a fresh block (see Home::defBlock).
+  void compileBlock(std::int32_t listId) {
+    blockStack_.push_back(nextBlock_++);
+    compileList(listId);
+    blockStack_.pop_back();
+  }
+
   void compileStmt(const FlatStmt& s) {
     switch (s.kind) {
-      case Stmt::Kind::Assign: {
-        if (s.var == loopVar_) bail();  // rewriting the induction variable
-        if (parMode_ && (retired_.count(s.var) != 0 ||
-                         (inNested_ && s.var == nestedVar_))) {
-          bail();
-        }
-        const Val v = compileExpr(s.value);
-        auto it = homes_.find(s.var);
-        if (it == homes_.end()) {
-          const std::int16_t reg = v.isFloat ? newFloat() : newInt();
-          Home h{reg, v.isFloat, false};
-          if (parMode_ && inNested_) {
-            h.definedLoop = static_cast<std::int16_t>(curNested_);
-          }
-          it = homes_.emplace(s.var, h).first;
-        }
-        Home& h = it->second;
-        if (h.isFloat != v.isFloat) bail();  // var changes type across loop
-        emit(v.isFloat ? LoopOp::K::FMov : LoopOp::K::IMov, h.reg, v.reg);
-        if (!h.assigned) {
-          h.assigned = true;
-          (h.isFloat ? k_.writeFloat : k_.writeInt).emplace_back(s.var, h.reg);
-        }
-        // Literal ints trace as var assignments (Value(int) declares a var),
-        // so nested-loop step resolution needs the var → constant map. An
-        // assignment inside a nested loop is conditional (the loop may run
-        // zero iterations), so it only ever invalidates.
-        const FlatExpr& ve = flat_.exprs[static_cast<std::size_t>(s.value)];
-        if (!inNested_ && ve.kind == Expr::Kind::Const &&
-            ve.constant.type() == DType::Int32) {
-          constInts_[s.var] = ve.constant.asInt();
-        } else {
-          constInts_.erase(s.var);
-        }
+      case Stmt::Kind::Assign:
+        compileAssign(s);
         return;
-      }
       case Stmt::Kind::StoreArg: {
         const std::int16_t idx = toInt(compileExpr(s.index));
-        const std::int16_t val = toFloat(compileExpr(s.value));
+        const Val v = compileExpr(s.value);
+        if (v.type == DType::Bool) bail();
+        const std::int16_t val = toFloat(v);
         // Only Float32 destinations: integer spans are read-only views and
         // extended types have no raw span at all.
         const std::int16_t arg = guardArg(s.arg, /*isFloat=*/true);
@@ -832,31 +875,167 @@ class LoopCompiler {
         emit(LoopOp::K::FStore, -1, idx, val, arg);
         return;
       }
-      case Stmt::Kind::For: {
-        // A parallel row body may contain one level of serial counted loops;
-        // everywhere else nested control flow stays on the generic walk.
-        if (!parMode_ || inNested_) bail();
+      case Stmt::Kind::For:
+        // Parallel rows hold counted loops — one level in polynomial
+        // kernels, any depth in block-charged ones. Serial kernels are flat.
+        if (!parMode_ || (inNested_ && !branchy_)) bail();
         compileNestedFor(s);
         return;
-      }
       case Stmt::Kind::If:
+        if (!branchy_) bail();
+        compileIf(s);
+        return;
       case Stmt::Kind::While:
+        if (!branchy_) bail();
+        compileWhile(s);
+        return;
       case Stmt::Kind::ParFor:
-        bail();  // nested control flow stays on the generic walk
+        bail();
     }
     GRAPHENE_UNREACHABLE("bad stmt kind");
   }
 
+  void compileAssign(const FlatStmt& s) {
+    if (s.var == loopVar_) bail();  // rewriting the induction variable
+    {
+      auto it = homes_.find(s.var);
+      if (it != homes_.end() && it->second.induction) bail();
+    }
+    const FlatExpr& ve = flat_.exprs[static_cast<std::size_t>(s.value)];
+    if (compileIndexAlias(s, ve)) return;
+    const Val v = compileExpr(s.value);
+    auto it = homes_.find(s.var);
+    if (it == homes_.end()) {
+      const int block = blockStack_.back();
+      const std::int16_t reg = v.fresh ? v.reg : newReg(v.type);
+      it = homes_.emplace(s.var, Home{reg, v.type, false, block}).first;
+      if (block != 0) scopedVars_.push_back(s.var);
+    }
+    Home& h = it->second;
+    if (h.type != v.type) bail();  // var changes type across the loop
+    if (v.fresh) {
+      k_.ops.back().dst = h.reg;  // write the home directly, no move
+    } else {
+      emit(v.isFloat() ? LoopOp::K::FMov : LoopOp::K::IMov, h.reg, v.reg);
+    }
+    if (!h.assigned) {
+      h.assigned = true;
+      auto& writes = h.type == DType::Float32 ? k_.writeFloat
+                     : h.type == DType::Int32 ? k_.writeInt
+                                              : k_.writeBool;
+      writes.emplace_back(s.var, h.reg);
+    }
+    // Literal ints trace as var assignments (Value(int) declares a var), so
+    // nested-loop step resolution needs the var → constant map. A var
+    // assigned exactly once holds that constant wherever its assignment
+    // dominates: inside the assigning block, after the assignment.
+    if (ve.kind == Expr::Kind::Const && ve.constant.type() == DType::Int32 &&
+        assignCount_[s.var] == 1) {
+      constInts_[s.var] = ConstInt{ve.constant.asInt(), blockStack_.back()};
+    }
+  }
+
+  /// `y = i` where i is the row or a nested loop index and y is assigned
+  /// nowhere else (the DSL traces every loop-body Value copy this way): y
+  /// shares i's register. An index only changes at its loop's back-edge, and
+  /// the assignment runs at the top of every pass, so y always equals i
+  /// where it can be read (reads outside y's block bail).
+  bool compileIndexAlias(const FlatStmt& s, const FlatExpr& ve) {
+    if (!parMode_ || ve.kind != Expr::Kind::Var || homes_.count(s.var) != 0)
+      return false;
+    auto cnt = assignCount_.find(s.var);
+    if (cnt == assignCount_.end() || cnt->second != 1) return false;
+    std::int16_t reg = 0;
+    if (ve.var != loopVar_) {
+      auto src = homes_.find(ve.var);
+      if (src == homes_.end() || !src->second.induction) return false;
+      if (!blockOpen(src->second.defBlock)) bail();
+      reg = src->second.reg;
+    }
+    const int block = blockStack_.back();
+    homes_.emplace(s.var, Home{reg, DType::Int32, true, block,
+                               /*induction=*/true});
+    k_.writeInt.emplace_back(s.var, reg);
+    if (block != 0) scopedVars_.push_back(s.var);
+    return true;
+  }
+
+  // ---- structured control flow (parallel rows) ---------------------------
+
+  /// Moves the open stretch's lanes into the kernel's charge table.
+  std::int16_t takePending() {
+    const ipu::LaneCycles l = pending_;
+    pending_ = ipu::LaneCycles{};
+    if (l.fp() == 0 && l.mem() == 0 && l.ctrl() == 0) return -1;
+    if (k_.charges.size() >= 0x7fff) bail();
+    k_.charges.push_back({l.fp(), l.mem(), l.ctrl()});
+    return static_cast<std::int16_t>(k_.charges.size() - 1);
+  }
+
+  /// Emits a control op carrying the open stretch's lanes; returns its pc.
+  std::size_t emitControl(LoopOp::K kk, std::int16_t a = -1) {
+    LoopOp op;
+    op.k = kk;
+    op.a = a;
+    op.lanes = takePending();
+    k_.ops.push_back(op);
+    return k_.ops.size() - 1;
+  }
+
+  /// Charges the open stretch here, if it has any lanes.
+  void emitCharge() {
+    const std::int16_t lanes = takePending();
+    if (lanes < 0) return;
+    LoopOp op;
+    op.k = LoopOp::K::Chg;
+    op.lanes = lanes;
+    k_.ops.push_back(op);
+  }
+
+  std::int32_t pc() const { return static_cast<std::int32_t>(k_.ops.size()); }
+
+  /// if (c) then else: the walk evaluates c, flushes + branches, runs one
+  /// side. Each side's tail lanes are charged before the join.
+  void compileIf(const FlatStmt& s) {
+    const std::int16_t c = truth(compileExpr(s.cond));
+    const std::size_t br = emitControl(LoopOp::K::Br, c);
+    compileBlock(s.body);
+    if (s.elseBody >= 0 &&
+        !flat_.lists[static_cast<std::size_t>(s.elseBody)].empty()) {
+      const std::size_t jmp = emitControl(LoopOp::K::Jmp);
+      k_.ops[br].iimm = pc();
+      compileBlock(s.elseBody);
+      emitCharge();
+      k_.ops[jmp].iimm = pc();
+    } else {
+      emitCharge();
+      k_.ops[br].iimm = pc();
+    }
+  }
+
+  /// while (c) body: the walk re-evaluates c and flushes + branches before
+  /// every pass, and counts passes against the runaway guard.
+  void compileWhile(const FlatStmt& s) {
+    const std::int16_t guard = newInt();
+    emit(LoopOp::K::IConst, guard);  // iimm 0: no passes yet
+    emitCharge();  // lanes before the loop are charged once
+    const std::int32_t top = pc();
+    const std::int16_t c = truth(compileExpr(s.cond));
+    const std::size_t br = emitControl(LoopOp::K::Br, c);
+    compileBlock(s.body);
+    const std::size_t end = emitControl(LoopOp::K::WEnd, guard);
+    k_.ops[end].iimm = top;
+    k_.ops[br].iimm = pc();
+  }
+
   /// Lowers a serial unit-step For inside a ParFor row. The header's bound
-  /// evaluation and setup charges land in the current segment — exactly where
-  /// the generic walk accumulates them before its loop-entry branch flush —
-  /// then the body's per-iteration charges open a fresh lane block.
+  /// evaluation and setup charges land in the open block — exactly where the
+  /// generic walk accumulates them before its loop-entry branch flush — then
+  /// the body's charges open a fresh one (a polynomial kernel's nested-loop
+  /// lanes, or a block-charged kernel's next stretch).
   void compileNestedFor(const FlatStmt& s) {
     if (s.var < 0 || s.body < 0) bail();
-    if (s.var == loopVar_ || homes_.count(s.var) != 0 ||
-        retired_.count(s.var) != 0) {
-      bail();
-    }
+    if (s.var == loopVar_ || homes_.count(s.var) != 0) bail();
     if (s.step >= 0) {
       // The step may be a literal Const or a read of a var holding a known
       // integer constant (DSL int literals trace as var assignments).
@@ -866,41 +1045,51 @@ class LoopCompiler {
         stepVal = st.constant.asInt();
       } else if (st.kind == Expr::Kind::Var) {
         auto cit = constInts_.find(st.var);
-        if (cit == constInts_.end()) bail();
-        stepVal = cit->second;
+        if (cit == constInts_.end() || !blockOpen(cit->second.block)) bail();
+        stepVal = cit->second.value;
       } else {
         bail();
       }
       if (stepVal != 1) bail();
     }
-    if (nestedLanes_.size() >= LoopKernel::kMaxNested) bail();
     const std::int16_t beginReg = toInt(compileExpr(s.begin));
     const std::int16_t endReg = toInt(compileExpr(s.end));
     chargeIter(ipu::Op::IntArith, DType::Int32);  // loop setup, pre-branch
-    const auto loopIdx = static_cast<std::int16_t>(nestedLanes_.size());
-    nestedLanes_.emplace_back();
-    const std::int16_t iv = newInt();
-    const auto beginPc = static_cast<std::int32_t>(k_.ops.size());
-    emit(LoopOp::K::LBegin, iv, beginReg, endReg, loopIdx);
-    inNested_ = true;
-    curNested_ = static_cast<std::size_t>(loopIdx);
-    nestedVar_ = s.var;
-    nestedIvReg_ = iv;
-    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(s.body)]) {
-      compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
+    LoopOp begin;
+    begin.k = LoopOp::K::LBegin;
+    begin.dst = newInt();
+    newInt();  // dst + 1: the end bound, fixed at entry like the walk's
+    begin.a = beginReg;
+    begin.b = endReg;
+    if (branchy_) {
+      begin.lanes = takePending();
+    } else {
+      if (nestedLanes_.size() >= LoopKernel::kMaxNested) bail();
+      curNested_ = nestedLanes_.size();
+      begin.arg = static_cast<std::int16_t>(curNested_);
+      nestedLanes_.emplace_back();
+      inNested_ = true;
     }
-    inNested_ = false;
-    nestedVar_ = -1;
-    LoopOp endOp;
-    endOp.k = LoopOp::K::LEnd;
-    endOp.a = iv;
-    endOp.iimm = beginPc;
-    k_.ops.push_back(endOp);
-    k_.ops[static_cast<std::size_t>(beginPc)].iimm =
-        static_cast<std::int32_t>(k_.ops.size()) - 1;
-    retired_.insert(s.var);
-    nestedVars_.push_back(s.var);
-    segLanes_.emplace_back();
+    const std::size_t beginPc = k_.ops.size();
+    k_.ops.push_back(begin);
+    const int block = nextBlock_++;
+    blockStack_.push_back(block);
+    homes_.emplace(s.var, Home{begin.dst, DType::Int32, false, block,
+                               /*induction=*/true});
+    scopedVars_.push_back(s.var);
+    compileList(s.body);
+    blockStack_.pop_back();
+    LoopOp end;
+    end.k = LoopOp::K::LEnd;
+    end.a = begin.dst;
+    end.iimm = static_cast<std::int32_t>(beginPc) + 1;
+    if (branchy_) end.lanes = takePending();
+    k_.ops.push_back(end);
+    k_.ops[beginPc].iimm = pc();
+    if (!branchy_) {
+      inNested_ = false;
+      segLanes_.emplace_back();
+    }
   }
 
   // ---- named-pattern recognition ----------------------------------------
@@ -1222,7 +1411,7 @@ class LoopCompiler {
       return st.kind == Expr::Kind::Const &&
              st.constant.type() == DType::Int32 && st.constant.asInt() == 1;
     };
-    std::int16_t spAgain = -1, rpAgain = -1;
+    std::int16_t spAgain = -1;
     if (!unitStep(*fors[0]) || !unitStep(*fors[1])) return;
     if (!isIdxLoad(resolve(fors[0]->begin, env), loopVar_, DType::Int32, env,
                    m.rpArg) ||
@@ -1318,21 +1507,23 @@ class LoopCompiler {
   const FlatCodelet& flat_;
   const ipu::CostModel& cost_;
   LoopKernel k_;
-  ipu::LaneCycles iter_;
+  ipu::LaneCycles iter_;  // serial kernels: per-iteration lanes
   std::unordered_map<int, Home> homes_;
   int loopVar_ = -1;
+  // Open blocks, innermost last (0 = the loop body itself).
+  std::vector<int> blockStack_;
+  int nextBlock_ = 1;
   // Parallel (ParFor) mode state.
   bool parMode_ = false;
-  bool inNested_ = false;
+  bool branchy_ = false;   // the row body holds If/While: block-charged
+  bool inNested_ = false;  // polynomial kernels: inside the nested loop
   std::size_t curNested_ = 0;
-  int nestedVar_ = -1;
-  std::int16_t nestedIvReg_ = -1;
   std::vector<ipu::LaneCycles> segLanes_;
   std::vector<ipu::LaneCycles> nestedLanes_;
-  std::unordered_set<int> retired_;
-  // Vars currently holding a known integer constant (program order).
-  std::unordered_map<int, std::int32_t> constInts_;
-  std::vector<int> nestedVars_;
+  ipu::LaneCycles pending_;  // block-charged kernels: the open stretch
+  std::unordered_map<int, int> assignCount_;
+  std::unordered_map<int, ConstInt> constInts_;
+  std::vector<int> scopedVars_;  // vars first defined in a nested block
 };
 
 }  // namespace
@@ -1390,6 +1581,13 @@ std::atomic<bool> g_verifyCycles{[] {
 /// identical to the original tree-walking interpreter: ops accumulate into a
 /// LaneCycles block (fp/mem overlap); control flow flushes the block.
 class FlatExec {
+  using FloatSpans = std::array<std::span<float>, LoopKernel::kMaxArgs>;
+  using IntSpans =
+      std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>;
+  using FloatRegs = std::array<float, LoopKernel::kMaxRegs>;
+  using IntRegs = std::array<std::int32_t, LoopKernel::kMaxRegs>;
+  using Trips = std::array<std::int32_t, LoopKernel::kMaxNested>;
+
  public:
   FlatExec(const CompiledCodelet& cc, graph::VertexContext& ctx,
            bool charging = true)
@@ -1613,11 +1811,9 @@ class FlatExec {
     total_ += pool.sync();
   }
 
-  /// Runs a compiled loop kernel for [begin, end) step `step`. Returns false
-  /// when a runtime guard fails (the generic walk then runs the loop; both
-  /// paths are exact, the kernel is only faster).
-  bool runFastLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
-                   std::int32_t end, std::int32_t step) {
+  /// The runtime dtype guards of a kernel: trace-time types of its args and
+  /// seeded vars must hold at run time, or the generic walk runs instead.
+  bool kernelGuardsHold(const LoopKernel& k) const {
     for (std::int16_t a : k.floatArgs) {
       if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Float32)
         return false;
@@ -1634,20 +1830,12 @@ class FlatExec {
       if (vars_[static_cast<std::size_t>(v)].type() != DType::Int32)
         return false;
     }
-    if (begin >= end) return true;  // zero iterations: setup charges only
+    return true;
+  }
 
-    // Bulk cycle charge: every priced constant is an integral double, so
-    // n × perIteration is exactly the sum the generic walk accumulates.
-    const double n = static_cast<double>(
-        (static_cast<std::int64_t>(end) - begin + step - 1) / step);
-    if (charging_) {
-      lanes_.add(ipu::Lane::Fp, n * k.iterFp);
-      lanes_.add(ipu::Lane::Mem, n * k.iterMem);
-      lanes_.add(ipu::Lane::Ctrl, n * k.iterCtrl);
-    }
-
-    std::array<std::span<float>, LoopKernel::kMaxArgs> fsp;
-    std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs> isp;
+  /// Binds a kernel's spans and seeds its registers on entry.
+  void enterKernel(const LoopKernel& k, FloatSpans& fsp, IntSpans& isp,
+                   FloatRegs& fr, IntRegs& ir) {
     for (std::int16_t a : k.floatArgs) {
       fsp[static_cast<std::size_t>(a)] =
           ctx_.floatSpan(static_cast<std::size_t>(a));
@@ -1656,18 +1844,6 @@ class FlatExec {
       isp[static_cast<std::size_t>(a)] =
           ctx_.intSpan(static_cast<std::size_t>(a));
     }
-
-    const NamedLoop& nm = k.named;
-    if (nm.p != NamedLoop::P::None && step == 1 && begin >= 0 &&
-        namedBoundsOk(nm, fsp, end)) {
-      runNamed(nm, fsp, begin, end);
-      vars_[static_cast<std::size_t>(s.var)] = Scalar(end - 1);
-      return true;
-    }
-
-    // Register VM fallback: same ops, same order, per element.
-    std::array<float, LoopKernel::kMaxRegs> fr{};
-    std::array<std::int32_t, LoopKernel::kMaxRegs> ir{};
     for (const auto& [reg, arg] : k.sizeSeeds) {
       ir[static_cast<std::size_t>(reg)] = static_cast<std::int32_t>(
           ctx_.argSize(static_cast<std::size_t>(arg)));
@@ -1684,7 +1860,60 @@ class FlatExec {
       ir[static_cast<std::size_t>(reg)] =
           vars_[static_cast<std::size_t>(v)].asInt();
     }
-    std::array<std::int32_t, LoopKernel::kMaxNested> trips{};
+  }
+
+  /// Writes the loop variable and every assigned home back to the var slots.
+  void leaveKernel(const LoopKernel& k, const FlatStmt& s, std::int32_t last,
+                   const FloatRegs& fr, const IntRegs& ir) {
+    vars_[static_cast<std::size_t>(s.var)] = Scalar(last);
+    for (const auto& [v, reg] : k.writeFloat) {
+      vars_[static_cast<std::size_t>(v)] =
+          Scalar(fr[static_cast<std::size_t>(reg)]);
+    }
+    for (const auto& [v, reg] : k.writeInt) {
+      vars_[static_cast<std::size_t>(v)] =
+          Scalar(ir[static_cast<std::size_t>(reg)]);
+    }
+    for (const auto& [v, reg] : k.writeBool) {
+      vars_[static_cast<std::size_t>(v)] =
+          Scalar(ir[static_cast<std::size_t>(reg)] != 0);
+    }
+  }
+
+  /// Runs a compiled loop kernel for [begin, end) step `step`. Returns false
+  /// when a runtime guard fails (the generic walk then runs the loop; both
+  /// paths are exact, the kernel is only faster).
+  bool runFastLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
+                   std::int32_t end, std::int32_t step) {
+    if (!kernelGuardsHold(k)) return false;
+    if (begin >= end) return true;  // zero iterations: setup charges only
+
+    // Bulk cycle charge: every priced constant is an integral double, so
+    // n × perIteration is exactly the sum the generic walk accumulates.
+    const double n = static_cast<double>(
+        (static_cast<std::int64_t>(end) - begin + step - 1) / step);
+    if (charging_) {
+      lanes_.add(ipu::Lane::Fp, n * k.iterFp);
+      lanes_.add(ipu::Lane::Mem, n * k.iterMem);
+      lanes_.add(ipu::Lane::Ctrl, n * k.iterCtrl);
+    }
+
+    FloatSpans fsp;
+    IntSpans isp;
+    FloatRegs fr{};
+    IntRegs ir{};
+    enterKernel(k, fsp, isp, fr, ir);
+
+    const NamedLoop& nm = k.named;
+    if (nm.p != NamedLoop::P::None && step == 1 && begin >= 0 &&
+        namedBoundsOk(nm, fsp, end)) {
+      runNamed(nm, fsp, begin, end);
+      vars_[static_cast<std::size_t>(s.var)] = Scalar(end - 1);
+      return true;
+    }
+
+    // Register VM fallback: same ops, same order, per element.
+    Trips trips{};
     // Block-vectorized front: full blocks of kBlock independent elements run
     // lane-wise (same scalar ops, same per-element order — bit-identical),
     // then the scalar VM finishes the tail. At least one element always goes
@@ -1699,17 +1928,9 @@ class FlatExec {
     for (std::int32_t iv = scalarBegin; iv < end; iv += step) {
       ir[0] = iv;
       last = iv;
-      runRowOps(k, fsp, isp, fr, ir, trips);
+      runRowOps<false>(k, fsp, isp, fr, ir, trips);
     }
-    vars_[static_cast<std::size_t>(s.var)] = Scalar(last);
-    for (const auto& [v, reg] : k.writeFloat) {
-      vars_[static_cast<std::size_t>(v)] =
-          Scalar(fr[static_cast<std::size_t>(reg)]);
-    }
-    for (const auto& [v, reg] : k.writeInt) {
-      vars_[static_cast<std::size_t>(v)] =
-          Scalar(ir[static_cast<std::size_t>(reg)]);
-    }
+    leaveKernel(k, s, last, fr, ir);
     return true;
   }
 
@@ -1720,9 +1941,7 @@ class FlatExec {
   /// iv+j); anything overlapping otherwise falls back to the scalar VM.
   static bool blockedRangeOk(
       const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
+      const FloatSpans& fsp, const IntSpans& isp,
       std::int32_t end) {
     const auto n = static_cast<std::size_t>(end);
     for (const LoopKernel::ArgUse& u : k.loadFloat) {
@@ -1768,11 +1987,8 @@ class FlatExec {
   /// home-variable writebacks). Returns where the scalar tail starts.
   static std::int32_t runBlockedFront(
       const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      const std::array<float, LoopKernel::kMaxRegs>& fr,
-      const std::array<std::int32_t, LoopKernel::kMaxRegs>& ir,
+      const FloatSpans& fsp, const IntSpans& isp,
+      const FloatRegs& fr, const IntRegs& ir,
       std::int32_t begin, std::int32_t end) {
     std::int32_t iv = begin;
     if (end - 1 - iv >= 16) {
@@ -1805,11 +2021,8 @@ class FlatExec {
   template <std::int32_t B>
   static void runBlockedRange(
       const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      const std::array<float, LoopKernel::kMaxRegs>& fr,
-      const std::array<std::int32_t, LoopKernel::kMaxRegs>& ir,
+      const FloatSpans& fsp, const IntSpans& isp,
+      const FloatRegs& fr, const IntRegs& ir,
       std::int32_t begin, std::int32_t endB) {
     alignas(64) float fb[LoopKernel::kMaxRegs][B];
     alignas(64) std::int32_t ib[LoopKernel::kMaxRegs][B];
@@ -2012,32 +2225,47 @@ class FlatExec {
             }
             break;
           }
-          case K::LBegin:
-          case K::LEnd:
-            break;  // analyzeBlockable never admits loop ops
+          case K::FLt: case K::FLe: case K::FEq: case K::FNe:
+          case K::ILt: case K::ILe: case K::IEq: case K::INe:
+          case K::FBool: case K::INot: case K::IAnd: case K::IOr:
+          case K::LBegin: case K::LEnd:
+          case K::Br: case K::Jmp: case K::Chg: case K::WEnd:
+            break;  // analyzeBlockable never admits logic or control ops
         }
       }
     }
   }
 
-  /// Executes one pass over a kernel's ops: a linear walk with LBegin/LEnd
-  /// implementing nested counted loops (parallel row kernels; serial kernels
-  /// contain no loop ops and degenerate to a straight run). Records each
-  /// nested loop's trip count into `trips` for the cost polynomial.
-  static void runRowOps(
-      const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      std::array<float, LoopKernel::kMaxRegs>& fr,
-      std::array<std::int32_t, LoopKernel::kMaxRegs>& ir,
-      std::array<std::int32_t, LoopKernel::kMaxNested>& trips) {
-    // Only one loop is ever active (single-level nesting), so one live trip
-    // counter suffices.
-    std::int32_t trip = 0;
+  /// Executes one pass over a kernel's ops: a linear walk with structured
+  /// jumps for nested counted loops (LBegin/LEnd) and, in block-charged
+  /// kernels, If/While (Br/Jmp/WEnd). Serial kernels contain no control ops
+  /// and degenerate to a straight run. Polynomial kernels record each nested
+  /// loop's trip count into `trips`; block-charged ones (Charged) instead
+  /// return the row's cycles, accumulated exactly as the walk does: control
+  /// ops add their stretch's lanes, and every walk chargeBranch point flushes
+  /// max(fp, mem) + ctrl and adds the branch cost.
+  template <bool Charged>
+  static double runRowOps(const LoopKernel& k, const FloatSpans& fsp,
+                          const IntSpans& isp, FloatRegs& fr, IntRegs& ir,
+                          Trips& trips) {
+    double fp = 0, mem = 0, ctrl = 0, total = 0;
+    auto addLanes = [&](std::int16_t idx) {
+      if (idx < 0) return;
+      const LoopKernel::Seg& c = k.charges[static_cast<std::size_t>(idx)];
+      fp += c.fp;
+      mem += c.mem;
+      ctrl += c.ctrl;
+    };
+    auto flushBranch = [&] {
+      total += (fp > mem ? fp : mem) + ctrl;
+      total += k.branchCost;
+      fp = mem = ctrl = 0;
+    };
+    const LoopOp* ops = k.ops.data();
     const std::size_t nops = k.ops.size();
-    for (std::size_t pc = 0; pc < nops; ++pc) {
-      const LoopOp& op = k.ops[pc];
+    std::size_t pc = 0;
+    while (pc < nops) {
+      const LoopOp& op = ops[pc++];
       switch (op.k) {
         case LoopOp::K::FConst: fr[op.dst] = op.fimm; break;
         case LoopOp::K::FMov: fr[op.dst] = fr[op.a]; break;
@@ -2106,83 +2334,102 @@ class FlatExec {
         case LoopOp::K::IFromFloat:
           ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
           break;
+        // Comparisons: the binNumeric definitions (Ne is !(a == b)).
+        case LoopOp::K::FLt: ir[op.dst] = fr[op.a] < fr[op.b]; break;
+        case LoopOp::K::FLe: ir[op.dst] = fr[op.a] <= fr[op.b]; break;
+        case LoopOp::K::FEq: ir[op.dst] = fr[op.a] == fr[op.b]; break;
+        case LoopOp::K::FNe: ir[op.dst] = !(fr[op.a] == fr[op.b]); break;
+        case LoopOp::K::ILt: ir[op.dst] = ir[op.a] < ir[op.b]; break;
+        case LoopOp::K::ILe: ir[op.dst] = ir[op.a] <= ir[op.b]; break;
+        case LoopOp::K::IEq: ir[op.dst] = ir[op.a] == ir[op.b]; break;
+        case LoopOp::K::INe: ir[op.dst] = !(ir[op.a] == ir[op.b]); break;
+        case LoopOp::K::FBool: ir[op.dst] = fr[op.a] != 0.0f; break;
+        case LoopOp::K::INot: ir[op.dst] = ir[op.a] == 0; break;
+        case LoopOp::K::IAnd:
+          ir[op.dst] = ir[op.a] != 0 && ir[op.b] != 0;
+          break;
+        case LoopOp::K::IOr:
+          ir[op.dst] = ir[op.a] != 0 || ir[op.b] != 0;
+          break;
         case LoopOp::K::LBegin: {
           const std::int32_t b = ir[op.a], e = ir[op.b];
-          const std::int32_t n = e > b ? e - b : 0;
-          trips[static_cast<std::size_t>(op.arg)] = n;
-          if (n == 0) {
-            // Jump to the LEnd; ++pc then steps past it.
+          if constexpr (Charged) {
+            addLanes(op.lanes);
+            flushBranch();
+          } else {
+            trips[static_cast<std::size_t>(op.arg)] = e > b ? e - b : 0;
+          }
+          if (!(b < e)) {
             pc = static_cast<std::size_t>(op.iimm);
             break;
           }
-          trip = n;
           ir[op.dst] = b;
+          ir[op.dst + 1] = e;
           break;
         }
         case LoopOp::K::LEnd:
-          if (--trip > 0) {
-            ++ir[op.a];
-            // Jump to the LBegin; ++pc re-enters the body without re-running
-            // the loop initialisation.
-            pc = static_cast<std::size_t>(op.iimm);
-          }
+          if constexpr (Charged) addLanes(op.lanes);
+          if (++ir[op.a] < ir[op.a + 1]) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case LoopOp::K::Br:
+          addLanes(op.lanes);
+          flushBranch();
+          if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case LoopOp::K::Jmp:
+          addLanes(op.lanes);
+          pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case LoopOp::K::Chg:
+          addLanes(op.lanes);
+          break;
+        case LoopOp::K::WEnd:
+          addLanes(op.lanes);
+          GRAPHENE_CHECK(++ir[op.a] < (1 << 26), "runaway While loop in codelet");
+          pc = static_cast<std::size_t>(op.iimm);
           break;
       }
     }
+    if constexpr (Charged) total += (fp > mem ? fp : mem) + ctrl;
+    return total;
   }
 
   /// Runs a compiled ParFor kernel: rows are dealt round-robin to a worker
   /// pool exactly like the generic walk, but each row executes as one
-  /// register program and its cycle cost comes from the kernel's
-  /// segment/loop polynomial instead of per-op lane accumulation. The caller
-  /// has evaluated the bounds and flushed. Returns false when a runtime
-  /// guard fails (the generic pool walk then runs; both are exact).
+  /// register program. Its cycle cost comes from the kernel's segment/loop
+  /// polynomial, or for block-charged kernels from the row program itself,
+  /// instead of per-op lane accumulation. The caller has evaluated the
+  /// bounds and flushed. Returns false when a runtime guard fails (the
+  /// generic pool walk then runs; both are exact).
   bool runParLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
                   std::int32_t end, std::int32_t step) {
-    for (std::int16_t a : k.floatArgs) {
-      if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Float32)
-        return false;
-    }
-    for (std::int16_t a : k.intArgs) {
-      if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Int32)
-        return false;
-    }
-    for (const auto& [v, reg] : k.seedFloat) {
-      if (vars_[static_cast<std::size_t>(v)].type() != DType::Float32)
-        return false;
-    }
-    for (const auto& [v, reg] : k.seedInt) {
-      if (vars_[static_cast<std::size_t>(v)].type() != DType::Int32)
-        return false;
-    }
+    if (!kernelGuardsHold(k)) return false;
 
     ipu::WorkerPool pool(cc_.numWorkers);
     pool.chargeSpawn();
     if (begin < end) {
-      std::array<std::span<float>, LoopKernel::kMaxArgs> fsp;
-      std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs> isp;
-      for (std::int16_t a : k.floatArgs) {
-        fsp[static_cast<std::size_t>(a)] =
-            ctx_.floatSpan(static_cast<std::size_t>(a));
-      }
-      for (std::int16_t a : k.intArgs) {
-        isp[static_cast<std::size_t>(a)] =
-            ctx_.intSpan(static_cast<std::size_t>(a));
-      }
-      std::array<float, LoopKernel::kMaxRegs> fr{};
-      std::array<std::int32_t, LoopKernel::kMaxRegs> ir{};
-      std::array<std::int32_t, LoopKernel::kMaxNested> trips{};
-      for (const auto& [reg, arg] : k.sizeSeeds) {
-        ir[static_cast<std::size_t>(reg)] = static_cast<std::int32_t>(
-            ctx_.argSize(static_cast<std::size_t>(arg)));
-      }
-      for (const auto& [v, reg] : k.seedFloat) {
-        fr[static_cast<std::size_t>(reg)] =
-            vars_[static_cast<std::size_t>(v)].asFloat();
-      }
-      for (const auto& [v, reg] : k.seedInt) {
-        ir[static_cast<std::size_t>(reg)] =
-            vars_[static_cast<std::size_t>(v)].asInt();
+      FloatSpans fsp;
+      IntSpans isp;
+      FloatRegs fr{};
+      IntRegs ir{};
+      Trips trips{};
+      enterKernel(k, fsp, isp, fr, ir);
+      std::size_t w = 0;
+      std::int32_t last = begin;
+      if (k.charged) {
+        for (std::int32_t iv = begin; iv < end; iv += step) {
+          ir[0] = iv;
+          last = iv;
+          if (k.workerReg >= 0) {
+            ir[static_cast<std::size_t>(k.workerReg)] =
+                static_cast<std::int32_t>(w);
+          }
+          pool.addCycles(w, runRowOps<true>(k, fsp, isp, fr, ir, trips));
+          w = (w + 1) % cc_.numWorkers;
+        }
+        leaveKernel(k, s, last, fr, ir);
+        total_ += pool.sync();
+        return true;
       }
       // Native CSR rows: all but the last row run as a plain scalar loop
       // (identical float ops in identical order); the last row goes through
@@ -2210,7 +2457,6 @@ class FlatExec {
         owned = vars_[static_cast<std::size_t>(csr.ownedVar)].asInt();
       }
       const std::size_t numLoops = k.nested.size();
-      std::size_t w = 0;
       std::int32_t scalarBegin = begin;
       // Block-vectorized front for flat row bodies (no nested loops, no
       // worker-index reads): full blocks of kBlock rows run lane-wise with
@@ -2240,7 +2486,6 @@ class FlatExec {
         w = static_cast<std::size_t>(nb % W);
         scalarBegin = endB;
       }
-      std::int32_t last = begin;
       for (std::int32_t iv = scalarBegin; iv < end; iv += step) {
         ir[0] = iv;
         last = iv;
@@ -2262,7 +2507,7 @@ class FlatExec {
           trips[0] = e1 > b1 ? e1 - b1 : 0;
           trips[1] = e2 > e1 ? e2 - e1 : 0;
         } else {
-          runRowOps(k, fsp, isp, fr, ir, trips);
+          runRowOps<false>(k, fsp, isp, fr, ir, trips);
         }
         double rowCost = 0;
         for (std::size_t b = 0; b <= numLoops; ++b) {
@@ -2279,15 +2524,7 @@ class FlatExec {
         pool.addCycles(w, rowCost);
         w = (w + 1) % cc_.numWorkers;
       }
-      vars_[static_cast<std::size_t>(s.var)] = Scalar(last);
-      for (const auto& [v, reg] : k.writeFloat) {
-        vars_[static_cast<std::size_t>(v)] =
-            Scalar(fr[static_cast<std::size_t>(reg)]);
-      }
-      for (const auto& [v, reg] : k.writeInt) {
-        vars_[static_cast<std::size_t>(v)] =
-            Scalar(ir[static_cast<std::size_t>(reg)]);
-      }
+      leaveKernel(k, s, last, fr, ir);
     }
     total_ += pool.sync();
     return true;
@@ -2295,8 +2532,7 @@ class FlatExec {
 
   bool namedBoundsOk(
       const NamedLoop& nm,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      std::int32_t end) const {
+      const FloatSpans& fsp, std::int32_t end) const {
     const auto e = static_cast<std::size_t>(end);
     auto ok = [&](std::int16_t arg) {
       return arg < 0 || e <= fsp[static_cast<std::size_t>(arg)].size();
@@ -2312,8 +2548,8 @@ class FlatExec {
   }
 
   void runNamed(const NamedLoop& nm,
-                const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-                std::int32_t begin, std::int32_t end) {
+                const FloatSpans& fsp, std::int32_t begin,
+                std::int32_t end) {
     auto span = [&](std::int16_t arg) {
       return fsp[static_cast<std::size_t>(arg)];
     };
@@ -2616,6 +2852,29 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
   return result;
 }
 
+LoopCoverage loopCoverage(const CompiledCodelet& codelet) {
+  const FlatCodelet& flat = codelet.flat;
+  LoopCoverage cov;
+  // A loop is fast when it has a kernel or runs inside an enclosing one.
+  std::function<void(std::int32_t, bool)> visit = [&](std::int32_t listId,
+                                                      bool inKernel) {
+    if (listId < 0) return;
+    for (std::int32_t sid : flat.lists[static_cast<std::size_t>(listId)]) {
+      const FlatStmt& s = flat.stmts[static_cast<std::size_t>(sid)];
+      bool compiled = inKernel;
+      if (s.kind == Stmt::Kind::For || s.kind == Stmt::Kind::ParFor) {
+        compiled = compiled || s.fastLoop >= 0;
+        ++cov.loops;
+        if (compiled) ++cov.fast;
+      }
+      visit(s.body, compiled);
+      visit(s.elseBody, compiled);
+    }
+  };
+  visit(flat.root, false);
+  return cov;
+}
+
 graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                            const ipu::CostModel& cost,
                            std::size_t numWorkers) {
@@ -2624,20 +2883,17 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
   // block-vectorizable or matched a named bulk kernel. Costs nothing when the
   // env var is unset; invaluable when a hot loop silently drops to the walk.
   if (std::getenv("GRAPHENE_DUMP_COMPILE") != nullptr) {
-    std::size_t loops = 0, fast = 0;
-    for (const FlatStmt& s : cc->flat.stmts) {
-      if (s.kind == Stmt::Kind::For || s.kind == Stmt::Kind::ParFor) {
-        ++loops;
-        if (s.fastLoop >= 0) ++fast;
-      }
-    }
+    const LoopCoverage cov = loopCoverage(*cc);
     std::fprintf(stderr, "[compile] %s: loops=%zu fast=%zu static=%d\n",
-                 name.c_str(), loops, fast, cc->staticCost.valid ? 1 : 0);
+                 name.c_str(), cov.loops, cov.fast,
+                 cc->staticCost.valid ? 1 : 0);
     for (const LoopKernel& k : cc->kernels) {
       std::fprintf(stderr,
-                   "  kernel: par=%d ops=%zu csr=%d blockable=%d named=%d\n",
+                   "  kernel: par=%d ops=%zu csr=%d blockable=%d named=%d "
+                   "charged=%d\n",
                    k.isPar ? 1 : 0, k.ops.size(), k.csr.valid ? 1 : 0,
-                   k.blockable ? 1 : 0, static_cast<int>(k.named.p));
+                   k.blockable ? 1 : 0, static_cast<int>(k.named.p),
+                   k.charged ? 1 : 0);
     }
   }
   return graph::Codelet{std::move(name),

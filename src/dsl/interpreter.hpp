@@ -6,10 +6,14 @@
 // (max(fp, mem) per statement) and the iputhreading worker model for ParFor.
 //
 // Codelets are compiled once (flatten the shared_ptr statement tree into the
-// FlatCodelet bytecode of codedsl_ir.hpp, and lower eligible counted loops to
-// span-based bulk kernels) and the compiled form is executed on every vertex
-// run. The bulk kernels are exact: same results bit-for-bit, same cycle
-// charges, with a generic fallback for anything they cannot prove safe.
+// FlatCodelet bytecode of codedsl_ir.hpp, and lower eligible loops to
+// register-VM kernels) and the compiled form is executed on every vertex run.
+// Serial counted loops with straight-line bodies become span kernels; a
+// ParFor row body becomes one row program, including If/else, While, nested
+// counted loops and comparisons (the level-set ILU codelets), charged per
+// basic block. The kernels are exact: same results bit-for-bit, same cycle
+// charges, with the generic statement walk as the fallback and reference for
+// anything they cannot prove safe.
 #pragma once
 
 #include <memory>
@@ -34,6 +38,15 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
                                   const ipu::CostModel& cost,
                                   std::size_t numWorkers);
 
+/// Loop statements (For and ParFor) of a compiled codelet, and how many of
+/// them run compiled — as their own kernel or inside an enclosing one.
+/// GRAPHENE_DUMP_COMPILE=1 prints the same counts.
+struct LoopCoverage {
+  std::size_t loops = 0;
+  std::size_t fast = 0;
+};
+LoopCoverage loopCoverage(const CompiledCodelet& codelet);
+
 /// Executes a compiled codelet against `ctx`; returns the modelled cost.
 graph::VertexCost runCompiled(const CompiledCodelet& codelet,
                               graph::VertexContext& ctx);
@@ -52,8 +65,9 @@ graph::VertexCost interpretCodelet(const CodeletIR& ir,
                                    std::size_t numWorkers,
                                    graph::VertexContext& ctx);
 
-/// Globally enables/disables the compiled loop fast paths (bulk span
-/// kernels). With fast paths off every loop runs the generic statement walk.
+/// Globally enables/disables the compiled loop fast paths (span kernels and
+/// register-VM loop and row kernels). With fast paths off every loop runs
+/// the generic statement walk.
 /// Results and cycle charges are identical either way — the switch exists so
 /// tests can assert exactly that, and to debug miscompiles. Also settable via
 /// the environment: GRAPHENE_NO_FASTPATH=1 disables them at startup.

@@ -999,7 +999,7 @@ graph::ComputeSetId ExecuteOnTiles(
   const ipu::CostModel cost = g.costModel();
   const std::size_t workers = g.target().workersPerTile;
   graph::CodeletId codeletId = g.addCodelet(
-      makeCodelet(ctx.freshName("codelet"), std::move(ir), cost, workers));
+      makeCodelet(ctx.freshName(category), std::move(ir), cost, workers));
 
   std::vector<std::size_t> vertexTiles = tiles;
   if (vertexTiles.empty()) {

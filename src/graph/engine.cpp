@@ -86,14 +86,14 @@ class Engine::PlanVertexContext final : public VertexContext {
 
   Scalar load(std::size_t arg, std::size_t index) const override {
     GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    GRAPHENE_DCHECK(index < args_[arg].count, "codelet read past its slice");
+    GRAPHENE_CHECK(index < args_[arg].count, "codelet read past its slice");
     return storage_[args_[arg].tensor].load(args_[arg].base + index);
   }
 
   void store(std::size_t arg, std::size_t index,
              const Scalar& value) override {
     GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    GRAPHENE_DCHECK(index < args_[arg].count, "codelet write past its slice");
+    GRAPHENE_CHECK(index < args_[arg].count, "codelet write past its slice");
     storage_[args_[arg].tensor].store(args_[arg].base + index, value);
   }
 

@@ -213,21 +213,52 @@ TEST(ParallelEngine, BitIdenticalWithFaultPlanAttached) {
 }
 
 TEST(ParallelEngine, FastPathMatchesGenericWalk) {
-  auto g = matrix::poisson2d5(16, 16);
+  // Jacobi-CG on a Poisson grid, and the level-set ILU(0) / DILU codelets —
+  // whose row kernels hold If/While — on a small FEM stand-in, alone and
+  // under double-word MPIR.
+  const auto poisson = matrix::poisson2d5(16, 16);
+  const auto fem = matrix::makeBenchmarkMatrix("hook_1498", 400, 50);
+  struct Case {
+    const char* name;
+    const matrix::GeneratedMatrix& g;
+    const char* json;
+    bool ilu;
+  };
+  const Case cases[] = {
+      {"cg-jacobi", poisson, kCgJson, false},
+      {"bicgstab-ilu0", fem, R"({
+         "type": "bicgstab", "maxIterations": 12, "tolerance": 1e-6,
+         "preconditioner": {"type": "ilu"}})", true},
+      {"bicgstab-dilu", fem, R"({
+         "type": "bicgstab", "maxIterations": 12, "tolerance": 1e-6,
+         "preconditioner": {"type": "dilu"}})", true},
+      {"mpir-bicgstab-ilu0", fem, R"({
+         "type": "mpir", "extendedType": "doubleword", "maxRefinements": 3,
+         "tolerance": 1e-12,
+         "inner": {"type": "bicgstab", "maxIterations": 6, "tolerance": 1e-3,
+                   "preconditioner": {"type": "ilu"}}})", true},
+  };
   // Force both modes explicitly so the A/B holds even when the whole suite
   // runs under GRAPHENE_NO_FASTPATH=1 (the CI oracle job).
   const bool envFastPaths = dsl::codeletFastPathsEnabled();
-  dsl::setCodeletFastPaths(true);
-  SolveObservables fast = runSolve(g, 4, kCgJson, 1, nullptr);
-  dsl::setCodeletFastPaths(false);
-  SolveObservables generic = runSolve(g, 4, kCgJson, 1, nullptr);
-  dsl::setCodeletFastPaths(envFastPaths);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    dsl::setCodeletFastPaths(true);
+    SolveObservables fast = runSolve(c.g, 4, c.json, 1, nullptr);
+    dsl::setCodeletFastPaths(false);
+    SolveObservables generic = runSolve(c.g, 4, c.json, 1, nullptr);
+    dsl::setCodeletFastPaths(envFastPaths);
 
-  ASSERT_EQ(fast.x.size(), generic.x.size());
-  for (std::size_t i = 0; i < fast.x.size(); ++i) {
-    EXPECT_EQ(fast.x[i], generic.x[i]) << "element " << i;
+    ASSERT_EQ(fast.x.size(), generic.x.size());
+    for (std::size_t i = 0; i < fast.x.size(); ++i) {
+      EXPECT_EQ(fast.x[i], generic.x[i]) << "element " << i;
+    }
+    expectProfilesIdentical(fast.profile, generic.profile);
+    if (c.ilu) {
+      EXPECT_GT(fast.profile.computeCycles.at("ilu_solve"), 0.0);
+      EXPECT_GT(fast.profile.computeCycles.at("ilu_factorize"), 0.0);
+    }
   }
-  expectProfilesIdentical(fast.profile, generic.profile);
 }
 
 TEST(ParallelEngine, MixedPrecisionBitIdenticalToSerial) {
