@@ -14,6 +14,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "golden_common.hpp"
 #include "graph/engine.hpp"
 #include "matrix/generators.hpp"
 #include "partition/partitioner.hpp"
@@ -401,4 +402,15 @@ TEST(TileProfileSession, ReportOnResult) {
             session.profile().totalComputeCycles());
   EXPECT_EQ(r1.tileProfile->traffic.totalBytes(),
             static_cast<std::uint64_t>(session.profile().exchangedBytes));
+}
+
+// The exported report of the fixture's CG run is pinned byte for byte to
+// tests/golden/: every per-tile plane, the traffic matrix and the SRAM
+// snapshot, down to the last bit of each cycle count.
+TEST(TileProfileGolden, CgReportMatchesGoldenFile) {
+  ProfiledSetup setup;
+  TileProfile tp;
+  setup.run(&tp);
+  golden::expectMatches("tileprofile_cg.json",
+                        support::tileProfileToJson(tp).dump(1) + "\n");
 }
