@@ -593,10 +593,8 @@ double FaultPlan::afterComputeSuperstep(std::size_t index,
 }
 
 TransferFate FaultPlan::onTransfer(std::size_t exchangeIndex,
-                                   std::size_t transferIndex,
                                    std::size_t dstTensor,
                                    FaultSurface& surface) {
-  (void)transferIndex;
   states_.resize(rules_.size());
   const auto idx = static_cast<std::int64_t>(exchangeIndex);
   for (std::size_t i = 0; i < rules_.size(); ++i) {

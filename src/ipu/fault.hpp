@@ -199,10 +199,10 @@ class FaultPlan {
   double afterComputeSuperstep(std::size_t index, FaultSurface& surface);
 
   /// Decides the fate of one exchange transfer destined for `dstTensor`.
-  /// Drop events are logged here; a Corrupt verdict is followed by a
+  /// The engine calls it once per planned transfer of a live sender, in the
+  /// Copy step's segment order. Drop events are logged here; a Corrupt verdict is followed by a
   /// corruptDelivered() call once the payload has landed.
-  TransferFate onTransfer(std::size_t exchangeIndex,
-                          std::size_t transferIndex, std::size_t dstTensor,
+  TransferFate onTransfer(std::size_t exchangeIndex, std::size_t dstTensor,
                           FaultSurface& surface);
 
   /// Flips one bit somewhere in the delivered range [dstFlat, dstFlat+count)

@@ -17,62 +17,6 @@
 
 namespace graphene::ipu {
 
-/// Per-category aggregate of per-tile superstep timing: where the BSP
-/// critical path came from and how unbalanced the tiles were. The engine
-/// records one sample per compute superstep (maxCycles matches the
-/// category's Profile::computeCycles entry by construction).
-struct SuperstepStats {
-  std::size_t supersteps = 0;
-  double maxCycles = 0;   // summed superstep durations (the critical path)
-  double meanCycles = 0;  // summed per-superstep mean over active tiles
-  double minCycles = 0;   // summed per-superstep min over active tiles
-
-  /// Worst single superstep seen and the tile that set its critical path.
-  double worstCycles = 0;
-  std::size_t worstStragglerTile = SIZE_MAX;
-  std::size_t worstSuperstep = SIZE_MAX;
-
-  /// BSP imbalance: critical path over mean tile time (1.0 = perfectly
-  /// balanced; the straggler's slack is (imbalance - 1) of every superstep).
-  double imbalance() const {
-    return meanCycles > 0 ? maxCycles / meanCycles : 1.0;
-  }
-
-  void record(std::size_t superstep, double min, double mean, double max,
-              std::size_t stragglerTile) {
-    supersteps += 1;
-    maxCycles += max;
-    meanCycles += mean;
-    minCycles += min;
-    if (max > worstCycles) {
-      worstCycles = max;
-      worstStragglerTile = stragglerTile;
-      worstSuperstep = superstep;
-    }
-  }
-
-  SuperstepStats& operator+=(const SuperstepStats& o) {
-    supersteps += o.supersteps;
-    maxCycles += o.maxCycles;
-    meanCycles += o.meanCycles;
-    minCycles += o.minCycles;
-    if (o.worstCycles > worstCycles) {
-      worstCycles = o.worstCycles;
-      worstStragglerTile = o.worstStragglerTile;
-      worstSuperstep = o.worstSuperstep;
-    }
-    return *this;
-  }
-
-  bool operator==(const SuperstepStats& o) const {
-    return supersteps == o.supersteps && maxCycles == o.maxCycles &&
-           meanCycles == o.meanCycles && minCycles == o.minCycles &&
-           worstCycles == o.worstCycles &&
-           worstStragglerTile == o.worstStragglerTile &&
-           worstSuperstep == o.worstSuperstep;
-  }
-};
-
 /// One injected fault or recovery action, recorded in execution order. The
 /// engine's fault-injection hooks append hardware-level events ("bitflip",
 /// "stuck-zero", "exchange-drop", "exchange-corrupt", "stall"); the solver
@@ -133,7 +77,7 @@ struct Profile {
   /// category (same keys as computeCycles): min/mean/max tile cycles and
   /// the worst straggler tile. This is the aggregate view of what a
   /// TraceSink records per superstep.
-  std::map<std::string, SuperstepStats> superstepStats;
+  std::map<std::string, support::SuperstepStats> superstepStats;
 
   /// Named counters and gauges ticked by the engine, codelets and solvers
   /// (e.g. "spmv.flops", "halo.bytes", "cg.restarts").

@@ -286,18 +286,11 @@ void TraceSink::record(TraceEvent event) {
   if (jobId_ != SIZE_MAX && event.jobId == SIZE_MAX) event.jobId = jobId_;
   if (event.jobId != SIZE_MAX) jobsSeen_.insert(event.jobId);
   switch (event.kind) {
-    case TraceKind::ComputeSuperstep: {
-      CategorySummary& s = computeSummary_[event.name];
-      s.supersteps += 1;
-      s.cycles += event.durationCycles;
-      s.tileMeanCycles += event.tileMean;
-      s.tileMinCycles += event.tileMin;
-      if (event.durationCycles > s.worstCycles) {
-        s.worstCycles = event.durationCycles;
-        s.worstStragglerTile = event.stragglerTile;
-      }
+    case TraceKind::ComputeSuperstep:
+      computeSummary_[event.name].record(event.superstep, event.tileMin,
+                                         event.tileMean, event.durationCycles,
+                                         event.stragglerTile);
       break;
-    }
     case TraceKind::ExchangeSuperstep:
       exchangeCycles_ += event.durationCycles;
       exchangeSupersteps_ += 1;
@@ -361,7 +354,7 @@ void TraceSink::clear() {
 
 double TraceSink::totalComputeCycles() const {
   double s = 0;
-  for (const auto& [k, v] : computeSummary_) s += v.cycles;
+  for (const auto& [k, v] : computeSummary_) s += v.maxCycles;
   return s;
 }
 
@@ -552,13 +545,11 @@ TextTable traceSummaryTable(const TraceSink& sink) {
   };
   for (const auto& [category, s] : sink.computeSummary()) {
     const double mean =
-        s.supersteps > 0 ? s.tileMeanCycles / static_cast<double>(s.supersteps)
+        s.supersteps > 0 ? s.meanCycles / static_cast<double>(s.supersteps)
                          : 0.0;
-    const double imbalance =
-        s.tileMeanCycles > 0 ? s.cycles / s.tileMeanCycles : 1.0;
-    t.addRow({category, std::to_string(s.supersteps), formatSig(s.cycles, 6),
-              pct(s.cycles), formatSig(mean, 4),
-              formatSig(imbalance, 3) + "x",
+    t.addRow({category, std::to_string(s.supersteps),
+              formatSig(s.maxCycles, 6), pct(s.maxCycles), formatSig(mean, 4),
+              formatSig(s.imbalance(), 3) + "x",
               s.worstStragglerTile == SIZE_MAX
                   ? "-"
                   : "tile " + std::to_string(s.worstStragglerTile)});
@@ -586,7 +577,7 @@ TextTable traceSummaryTable(const TraceSink& sink) {
 std::map<std::string, double> traceComputeCycles(const TraceSink& sink) {
   std::map<std::string, double> out;
   for (const auto& [category, s] : sink.computeSummary()) {
-    out[category] = s.cycles;
+    out[category] = s.maxCycles;
   }
   return out;
 }

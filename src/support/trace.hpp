@@ -224,21 +224,67 @@ class MetricsRegistry {
 std::string metricsToPrometheusText(const MetricsRegistry& metrics,
                                     const std::string& prefix = "graphene");
 
+/// Per-category aggregate of per-tile superstep timing: where the BSP
+/// critical path came from and how unbalanced the tiles were. One sample is
+/// recorded per compute superstep — by ipu::Profile from the engine and by
+/// TraceSink from each ComputeSuperstep event, through the same record() —
+/// so maxCycles matches the category's Profile::computeCycles entry and the
+/// trace summary matches the profile, by construction.
+struct SuperstepStats {
+  std::size_t supersteps = 0;
+  double maxCycles = 0;   // summed superstep durations (the critical path)
+  double meanCycles = 0;  // summed per-superstep mean over active tiles
+  double minCycles = 0;   // summed per-superstep min over active tiles
+
+  /// Worst single superstep seen and the tile that set its critical path.
+  double worstCycles = 0;
+  std::size_t worstStragglerTile = SIZE_MAX;
+  std::size_t worstSuperstep = SIZE_MAX;
+
+  /// BSP imbalance: critical path over mean tile time (1.0 = perfectly
+  /// balanced; the straggler's slack is (imbalance - 1) of every superstep).
+  double imbalance() const {
+    return meanCycles > 0 ? maxCycles / meanCycles : 1.0;
+  }
+
+  void record(std::size_t superstep, double min, double mean, double max,
+              std::size_t stragglerTile) {
+    supersteps += 1;
+    maxCycles += max;
+    meanCycles += mean;
+    minCycles += min;
+    if (max > worstCycles) {
+      worstCycles = max;
+      worstStragglerTile = stragglerTile;
+      worstSuperstep = superstep;
+    }
+  }
+
+  SuperstepStats& operator+=(const SuperstepStats& o) {
+    supersteps += o.supersteps;
+    maxCycles += o.maxCycles;
+    meanCycles += o.meanCycles;
+    minCycles += o.minCycles;
+    if (o.worstCycles > worstCycles) {
+      worstCycles = o.worstCycles;
+      worstStragglerTile = o.worstStragglerTile;
+      worstSuperstep = o.worstSuperstep;
+    }
+    return *this;
+  }
+
+  bool operator==(const SuperstepStats& o) const {
+    return supersteps == o.supersteps && maxCycles == o.maxCycles &&
+           meanCycles == o.meanCycles && minCycles == o.minCycles &&
+           worstCycles == o.worstCycles &&
+           worstStragglerTile == o.worstStragglerTile &&
+           worstSuperstep == o.worstSuperstep;
+  }
+};
+
 /// Ring-buffered event sink with exact running aggregates.
 class TraceSink {
  public:
-  /// Per-compute-category aggregate, updated on every record() — exact for
-  /// the whole run even after the ring has wrapped.
-  struct CategorySummary {
-    std::size_t supersteps = 0;
-    double cycles = 0;      // summed superstep durations (critical path)
-    double tileMeanCycles = 0;  // summed per-superstep mean over tiles
-    double tileMinCycles = 0;   // summed per-superstep min over tiles
-    /// Worst single superstep of this category and its straggler tile.
-    double worstCycles = 0;
-    std::size_t worstStragglerTile = SIZE_MAX;
-  };
-
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
   explicit TraceSink(std::size_t capacity = kDefaultCapacity);
@@ -266,7 +312,9 @@ class TraceSink {
   void clear();
 
   // -- exact aggregates ------------------------------------------------------
-  const std::map<std::string, CategorySummary>& computeSummary() const {
+  /// Per-compute-category aggregate, updated on every record() — exact for
+  /// the whole run even after the ring has wrapped.
+  const std::map<std::string, SuperstepStats>& computeSummary() const {
     return computeSummary_;
   }
   double exchangeCycles() const { return exchangeCycles_; }
@@ -291,7 +339,7 @@ class TraceSink {
   std::size_t jobId_ = SIZE_MAX;
   std::vector<TraceEvent> ring_;
 
-  std::map<std::string, CategorySummary> computeSummary_;
+  std::map<std::string, SuperstepStats> computeSummary_;
   double exchangeCycles_ = 0;
   double syncCycles_ = 0;
   std::size_t exchangeSupersteps_ = 0;

@@ -1,6 +1,7 @@
 // Tests for the host reference solver stack and the platform models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baseline/cpu_solver.hpp"
@@ -57,8 +58,17 @@ TEST(HostBiCgStab, ResidualHistoryDecreases) {
 TEST(HostSpmv, MeasurementIsPositiveAndScales) {
   auto small = matrix::poisson2d5(20, 20);
   auto large = matrix::poisson2d5(80, 80);
-  double tSmall = measureHostSpmvSeconds(small.matrix, 5, 50);
-  double tLarge = measureHostSpmvSeconds(large.matrix, 5, 50);
+  // Best of several measurements per size: a wall-clock mean absorbs any
+  // preemption on a loaded host, while the minimum tracks the work itself.
+  auto fastest = [](const matrix::CsrMatrix& a) {
+    double best = measureHostSpmvSeconds(a, 5, 50);
+    for (int i = 1; i < 5; ++i) {
+      best = std::min(best, measureHostSpmvSeconds(a, 5, 50));
+    }
+    return best;
+  };
+  double tSmall = fastest(small.matrix);
+  double tLarge = fastest(large.matrix);
   EXPECT_GT(tSmall, 0.0);
   EXPECT_GT(tLarge, tSmall);  // 16x the work
 }

@@ -9,8 +9,8 @@
 // exactly that. The compiled-codelet fast paths get the same treatment:
 // bulk span kernels vs the generic statement walk must agree bit-for-bit in
 // both results and charged cycles. On a small hand-checkable graph, attached
-// observers (trace sink, fault plan), cached execution and exchange plans,
-// and excluded tiles are held to the same standard.
+// observers (trace sink, fault plan, tile profile), cached execution and
+// exchange plans, and excluded tiles are held to the same standard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +28,7 @@
 #include "solver/solvers.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "support/tile_profile.hpp"
 #include "support/trace.hpp"
 
 using namespace graphene;
@@ -285,7 +286,7 @@ TEST(ParallelEngine, MixedPrecisionBitIdenticalToSerial) {
 
 TEST(Engine, ObserversLeaveResultsAndProfileUnchanged) {
   // The same program on a bare engine, with a trace sink, and with an empty
-  // fault plan (which also forces the per-segment exchange walk): identical
+  // fault plan (whose exchange hooks see every planned transfer): identical
   // results and profiles, and one trace event per superstep at the same
   // simulated-cycle stamps.
   TestRig rig;
@@ -367,7 +368,7 @@ TEST(Engine, ExcludedTileKeepsValuesAndChargesNothing) {
   EXPECT_EQ(got, (std::vector<float>{8, 12, 16, 20, 5, 6, 7, 8}));
   // The excluded tile charges zero cycles: every superstep's fastest tile is
   // at 0, while tile 0 alone still sets the unchanged critical path.
-  const ipu::SuperstepStats& stats =
+  const support::SuperstepStats& stats =
       excluded.profile().superstepStats.at("step");
   EXPECT_EQ(stats.supersteps, 2u);
   EXPECT_EQ(stats.minCycles, 0.0);
@@ -377,49 +378,54 @@ TEST(Engine, ExcludedTileKeepsValuesAndChargesNothing) {
   EXPECT_EQ(excluded.simCycles(), full.simCycles());
 }
 
-TEST(Exchange, CachedCopyPlanMatchesSegmentWalk) {
-  // The engine resolves a Copy step once and replays it when no fault plan
-  // or tile profile is attached. An *empty* fault plan forces the full
-  // per-segment walk without changing any outcome — a perfect oracle.
-  TestRig rigA;
-  auto seqA = graph::Program::sequence();
-  seqA->children.push_back(
-      graph::Program::copy({rigA.haloSeg(0, 1), rigA.haloSeg(1, 0)}));
-  seqA->children.push_back(graph::Program::execute(rigA.addStep(1.0f)));
-  seqA->children.push_back(
-      graph::Program::copy({rigA.haloSeg(0, 1), rigA.haloSeg(1, 0)}));
-  TestRig rigB;
-  auto seqB = graph::Program::sequence();
-  seqB->children.push_back(
-      graph::Program::copy({rigB.haloSeg(0, 1), rigB.haloSeg(1, 0)}));
-  seqB->children.push_back(graph::Program::execute(rigB.addStep(1.0f)));
-  seqB->children.push_back(
-      graph::Program::copy({rigB.haloSeg(0, 1), rigB.haloSeg(1, 0)}));
+TEST(Exchange, CopyPlanReplayIsObserverInvariant) {
+  // Every Copy step replays its cached plan. Attaching an (empty) fault plan
+  // or a tile profile routes the same planned transfers through their hooks
+  // without changing any outcome: results and profiles match the bare
+  // engine exactly.
+  TestRig rig;
+  auto seq = graph::Program::sequence();
+  seq->children.push_back(
+      graph::Program::copy({rig.haloSeg(0, 1), rig.haloSeg(1, 0)}));
+  seq->children.push_back(graph::Program::execute(rig.addStep(1.0f)));
+  seq->children.push_back(
+      graph::Program::copy({rig.haloSeg(0, 1), rig.haloSeg(1, 0)}));
 
+  graph::Engine bare(rig.g, 1);
   ipu::FaultPlan empty = ipu::FaultPlan::fromJsonText(R"({"faults": []})");
-  graph::Engine walked(rigA.g, 1);
-  walked.setFaultPlan(&empty);  // forces the per-segment path
-  graph::Engine cached(rigB.g, 1);
-  const std::vector<float> want = rigA.runOn(walked, seqA);
-  const std::vector<float> got = rigB.runOn(cached, seqB);
-  EXPECT_EQ(want, got);
-  expectProfilesIdentical(walked.profile(), cached.profile());
-  EXPECT_GT(cached.profile().exchangedBytes, 0u);
+  graph::Engine guarded(rig.g, 1);
+  guarded.setFaultPlan(&empty);
+  support::TileProfile tiles;
+  graph::Engine profiled(rig.g, 1);
+  profiled.setTileProfile(&tiles);
+  const std::vector<float> want = rig.runOn(bare, seq);
+  EXPECT_EQ(rig.runOn(guarded, seq), want);
+  EXPECT_EQ(rig.runOn(profiled, seq), want);
+  expectProfilesIdentical(bare.profile(), guarded.profile());
+  expectProfilesIdentical(bare.profile(), profiled.profile());
+  EXPECT_GT(bare.profile().exchangedBytes, 0u);
 
-  // Replay: run the same program again on the cached engine — the second
-  // pass (a pure cache hit) must charge exactly the same exchange totals.
-  const auto bytesOnce = cached.profile().exchangedBytes;
-  const auto cyclesOnce = cached.profile().exchangeCycles;
-  rigB.runOn(cached, seqB);
-  EXPECT_EQ(cached.profile().exchangedBytes, 2 * bytesOnce);
-  EXPECT_EQ(cached.profile().exchangeCycles, 2 * cyclesOnce);
+  // Replay: run the same program again — the second pass (a pure cache hit)
+  // must charge exactly the same exchange totals, and the tile profile's
+  // traffic matrix keeps folding every planned transfer.
+  const auto bytesOnce = bare.profile().exchangedBytes;
+  const auto cyclesOnce = bare.profile().exchangeCycles;
+  for (graph::Engine* e : {&bare, &guarded, &profiled}) rig.runOn(*e, seq);
+  EXPECT_EQ(bare.profile().exchangedBytes, 2 * bytesOnce);
+  EXPECT_EQ(bare.profile().exchangeCycles, 2 * cyclesOnce);
+  expectProfilesIdentical(bare.profile(), guarded.profile());
+  expectProfilesIdentical(bare.profile(), profiled.profile());
+  EXPECT_EQ(tiles.traffic.totalBytes(),
+            static_cast<std::uint64_t>(profiled.profile().exchangedBytes));
+  EXPECT_EQ(tiles.exchangeCycles, profiled.profile().exchangeCycles);
+  EXPECT_EQ(tiles.exchangeSupersteps, profiled.profile().exchangeSupersteps);
 }
 
-TEST(Exchange, ZeroByteExchangeIsSkippedButStillCommitted) {
+TEST(Exchange, ZeroByteExchangeCommitsUnderEveryObserver) {
   // A Copy whose only destination is its own source is a zero-byte exchange
-  // superstep: the event-driven path must skip the segment simulation yet
-  // still commit the superstep (count +1, zero bytes, zero cycles) exactly
-  // like the full walk does.
+  // superstep: its plan holds no transfer, yet the superstep is still
+  // committed (count +1, zero bytes, zero cycles) with or without a fault
+  // plan or a tile profile attached.
   TestRig rig;
   graph::CopySegment self;
   self.src = rig.data;
@@ -431,17 +437,23 @@ TEST(Exchange, ZeroByteExchangeIsSkippedButStillCommitted) {
   auto seq = graph::Program::sequence();
   seq->children.push_back(graph::Program::copy({self}));
 
+  graph::Engine bare(rig.g, 1);
   ipu::FaultPlan empty = ipu::FaultPlan::fromJsonText(R"({"faults": []})");
-  graph::Engine walked(rig.g, 1);
-  walked.setFaultPlan(&empty);
-  graph::Engine cached(rig.g, 1);
-  const std::vector<float> want = rig.runOn(walked, seq);
-  const std::vector<float> got = rig.runOn(cached, seq);
-  EXPECT_EQ(want, got);
-  expectProfilesIdentical(walked.profile(), cached.profile());
-  EXPECT_EQ(cached.profile().exchangeSupersteps, 1u);
-  EXPECT_EQ(cached.profile().exchangedBytes, 0u);
-  EXPECT_EQ(cached.profile().exchangeCycles, 0.0);
+  graph::Engine guarded(rig.g, 1);
+  guarded.setFaultPlan(&empty);
+  support::TileProfile tiles;
+  graph::Engine profiled(rig.g, 1);
+  profiled.setTileProfile(&tiles);
+  const std::vector<float> want = rig.runOn(bare, seq);
+  EXPECT_EQ(rig.runOn(guarded, seq), want);
+  EXPECT_EQ(rig.runOn(profiled, seq), want);
+  expectProfilesIdentical(bare.profile(), guarded.profile());
+  expectProfilesIdentical(bare.profile(), profiled.profile());
+  EXPECT_EQ(bare.profile().exchangeSupersteps, 1u);
+  EXPECT_EQ(bare.profile().exchangedBytes, 0u);
+  EXPECT_EQ(bare.profile().exchangeCycles, 0.0);
+  EXPECT_EQ(tiles.traffic.totalBytes(), 0u);
+  EXPECT_EQ(tiles.exchangeSupersteps, 1u);
 }
 
 // ---------------------------------------------------------------------------
