@@ -25,7 +25,7 @@ void TileTrafficMatrix::init(std::size_t numTiles) {
 }
 
 void TileTrafficMatrix::recordTransfer(std::size_t srcTile,
-                                       const std::vector<std::size_t>& dstTiles,
+                                       std::span<const std::size_t> dstTiles,
                                        std::size_t bytes) {
   GRAPHENE_DCHECK(srcTile < numTiles_, "traffic src tile out of range");
   std::size_t remote = 0;

@@ -15,7 +15,9 @@
 //                to the tile that set it — the per-category tile sums
 //                reproduce Profile::computeCycles exactly)
 //   traffic      a tile×tile matrix of exchange payload bytes and messages,
-//                fed from ipu::priceExchange. Broadcast payload is split
+//                folded from each Copy step's planned transfers (through
+//                ipu::priceExchange when hard faults re-price an exchange)
+//                with recordTransfer(). Broadcast payload is split
 //                integer-exactly over the destinations, so the matrix total
 //                equals Profile::exchangedBytes
 //   sram         per-tile SRAM occupancy and high-water from the graph's
@@ -37,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,7 +71,7 @@ class TileTrafficMatrix {
   /// Destinations equal to the source are tile-local copies and ignored; a
   /// transfer with no remote destination records nothing.
   void recordTransfer(std::size_t srcTile,
-                      const std::vector<std::size_t>& dstTiles,
+                      std::span<const std::size_t> dstTiles,
                       std::size_t bytes);
 
   std::uint64_t bytes(std::size_t src, std::size_t dst) const {
